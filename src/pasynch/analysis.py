@@ -7,7 +7,6 @@ of the searches mean "not found within the bound", nothing stronger.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -80,8 +79,33 @@ def _word_count(n_letters: int, max_len: int) -> int:
     return (n_letters ** (max_len + 1) - 1) // (n_letters - 1)
 
 
+def _check_space(pa: Pa, max_len: int, budget: int) -> int:
+    """Number of words up to `max_len`, refused past `budget`."""
+    if max_len < 0:
+        raise InputError(f"max_len must be >= 0, got {max_len}")
+    total = _word_count(len(pa.alphabet), max_len)
+    if total > budget:
+        raise BudgetExceededError(
+            f"sweep of {total} words exceeds the budget of {budget}")
+    return total
+
+
 def _accept_mass(pa: Pa, d: Dist) -> Fraction:
     return sum((d.mass(q) for q in pa.accepting), ZERO)
+
+
+def _preorder_probs(pa: Pa, max_len: int) -> Iterator[tuple[Fraction, Word]]:
+    """Yield (acceptance probability, word) in lexicographic preorder.
+
+    Depth first, so the stack holds at most |alphabet| entries per level.
+    """
+    stack: list[tuple[Word, Dist]] = [((), pa.initial)]
+    while stack:
+        word, dist = stack.pop()
+        yield _accept_mass(pa, dist), word
+        if len(word) < max_len:
+            for a in reversed(pa.alphabet):
+                stack.append((word + (a,), step(pa, dist, a)))
 
 
 def bounded_value_search(
@@ -89,78 +113,35 @@ def bounded_value_search(
     max_len: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    parallel: bool = False,
 ) -> SearchResult:
     """Evaluate the acceptance probability of every word up to `max_len`.
 
-    Deterministic regardless of evaluation order: candidates are compared
-    by probability, then word length, then the declared alphabet order.
-    `parallel=True` fans the per-first-letter subtrees out to a thread
-    pool and re-applies the same comparison when merging.
+    The best word has the highest probability, then the shortest length;
+    `max` keeps the first of equal keys, and the preorder scan reaches
+    equal-length words in the declared alphabet order.
     """
-    if max_len < 0:
-        raise InputError(f"max_len must be >= 0, got {max_len}")
-    pa = b.pa
-    total = _word_count(len(pa.alphabet), max_len)
-    if total > budget:
-        raise BudgetExceededError(
-            f"sweep of {total} words exceeds the budget of {budget}")
-
-    rank = {a: i for i, a in enumerate(pa.alphabet)}
-
-    def better(cand: tuple[Fraction, Word], best: tuple[Fraction, Word]) -> bool:
-        if cand[0] != best[0]:
-            return cand[0] > best[0]
-        if len(cand[1]) != len(best[1]):
-            return len(cand[1]) < len(best[1])
-        return [rank[x] for x in cand[1]] < [rank[x] for x in best[1]]
-
-    def search_from(word0: Word, dist0: Dist) -> tuple[tuple[Fraction, Word], int]:
-        best: tuple[Fraction, Word] | None = None
-        explored = 0
-        stack: list[tuple[Word, Dist]] = [(word0, dist0)]
-        while stack:
-            word, dist = stack.pop()
-            explored += 1
-            cand = (_accept_mass(pa, dist), word)
-            if best is None or better(cand, best):
-                best = cand
-            if len(word) < max_len:
-                for a in pa.alphabet:
-                    stack.append((word + (a,), step(pa, dist, a)))
-        return best, explored
-
-    if not parallel or max_len == 0 or not pa.alphabet:
-        best, explored = search_from((), pa.initial)
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, len(pa.alphabet))) as pool:
-            futures = [
-                pool.submit(search_from, (a,), step(pa, pa.initial, a))
-                for a in pa.alphabet
-            ]
-            partials = [f.result() for f in futures]
-        best = (_accept_mass(pa, pa.initial), ())
-        explored = 1
-        for part_best, part_explored in partials:
-            explored += part_explored
-            if better(part_best, best):
-                best = part_best
-    return SearchResult(best[1], best[0], explored, exhausted=True)
+    total = _check_space(b.pa, max_len, budget)
+    best_prob, best_word = max(
+        _preorder_probs(b.pa, max_len), key=lambda pw: (pw[0], -len(pw[1])))
+    return SearchResult(best_word, best_prob, total, exhausted=True)
 
 
 def _shortlex_probs(pa: Pa, max_len: int) -> Iterator[tuple[Word, Fraction]]:
-    """Yield (word, acceptance probability) in shortest-then-lex order."""
-    layer: list[tuple[Word, Dist]] = [((), pa.initial)]
+    """Yield (word, acceptance probability) in shortest-then-lex order.
+
+    Words of length `max_len` are yielded but never stored, so the
+    largest layer kept is the one of length `max_len - 1`.
+    """
     yield (), _accept_mass(pa, pa.initial)
-    for _ in range(max_len):
+    layer: list[tuple[Word, Dist]] = [((), pa.initial)]
+    for length in range(1, max_len + 1):
         nxt: list[tuple[Word, Dist]] = []
         for word, dist in layer:
             for a in pa.alphabet:
-                extended = (word + (a,), step(pa, dist, a))
-                nxt.append(extended)
-                yield extended[0], _accept_mass(pa, extended[1])
-        if not nxt:
-            return
+                extended, reached = word + (a,), step(pa, dist, a)
+                if length < max_len:
+                    nxt.append((extended, reached))
+                yield extended, _accept_mass(pa, reached)
         layer = nxt
 
 
@@ -181,15 +162,8 @@ def witness_schedule_search(
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    if max_len < 0:
-        raise InputError(f"max_len must be >= 0, got {max_len}")
-    pa = b.pa
-    total = _word_count(len(pa.alphabet), max_len)
-    if total > budget:
-        raise BudgetExceededError(
-            f"sweep of {total} words exceeds the budget of {budget}")
-
-    gen = _shortlex_probs(pa, max_len)
+    _check_space(b.pa, max_len, budget)
+    gen = _shortlex_probs(b.pa, max_len)
     explored = 0
     found: list[Word] = []
     current: tuple[Fraction, Word] | None = None
@@ -232,9 +206,11 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
     there the check is: support inside {success sink, failure pair} and
     equal mass on the two failure-pair members. From the following step
     on, the distribution is exactly 1/2 + 1/2 on the failure pair, and
-    any non-reset letter preserves that; the checker verifies the steps
-    remaining in `prefix` and then, for `horizon` further steps, re-checks
-    every single non-reset letter from the reached distribution.
+    any non-reset letter preserves that. The checker verifies the steps
+    remaining in `prefix`, then every non-reset letter from the reached
+    distribution and, one step later, from the failure pair. Each later
+    step would repeat that second sweep exactly, so by induction the work
+    is O(|alphabet|) steps for any `horizon`.
 
     Checked steps are j+1 .. j+1+horizon.
     """
@@ -260,24 +236,22 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
             f"step {j + 1}: failure pair unbalanced ({d.mass(qn)} vs {d.mass(qn_hat)})")
 
     end = j + 1 + horizon
-    current = dists[len(w)]
-    letters = c.lifted_alphabet
-    for position in range(j + 2, end + 1):
-        if position <= len(w):
-            if dists[position] != sink_pair:
+    for position in range(j + 2, min(end, len(w)) + 1):
+        if dists[position] != sink_pair:
+            return CheckResult(
+                False,
+                f"step {position}: expected the half/half failure pair, "
+                f"got {dists[position]}")
+    for position, start in ((len(w) + 1, dists[len(w)]), (len(w) + 2, sink_pair)):
+        if position > end:
+            break
+        for a in c.lifted_alphabet:
+            got = step(c.pa, start, a)
+            if got != sink_pair:
                 return CheckResult(
                     False,
-                    f"step {position}: expected the half/half failure pair, "
-                    f"got {dists[position]}")
-        else:
-            for a in letters:
-                got = step(c.pa, current, a)
-                if got != sink_pair:
-                    return CheckResult(
-                        False,
-                        f"step {position} via {a!r}: expected the half/half "
-                        f"failure pair, got {got}")
-            current = sink_pair
+                    f"step {position} via {a!r}: expected the half/half "
+                    f"failure pair, got {got}")
     return CheckResult(True)
 
 

@@ -63,7 +63,11 @@ def _require_lifted(obj: Pa | LiftedPa | TwinPa, path: str) -> LiftedPa:
 
 def _emit_trace(pa: Pa, trace, csv_path: str | None) -> None:
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(csv_path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot write {csv_path}: {exc}") from None
+        with fh:
             write_trace_csv(pa.states, trace, fh)
     else:
         write_trace_csv(pa.states, trace, sys.stdout)

@@ -1,10 +1,18 @@
-"""Seeded random generators shared by the test modules."""
+"""Seeded random generators and brute-force references shared by the test modules."""
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
-from pasynch import Pa, Value1Instance, Word
+from pasynch import (
+    Pa,
+    ScheduleSearchResult,
+    SearchResult,
+    Value1Instance,
+    Word,
+    matrix_oracle,
+)
 
 LETTER_POOL = ("a", "b", "c")
 
@@ -61,3 +69,42 @@ def random_value1_instance(
 def random_word(rng: random.Random, alphabet, max_len: int, min_len: int = 0) -> Word:
     length = rng.randint(min_len, max_len)
     return tuple(rng.choice(alphabet) for _ in range(length))
+
+
+def _scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
+    """Every word up to `max_len` in shortest-then-lex order, with its
+    acceptance probability from the matrix oracle."""
+    scored = []
+    for n in range(max_len + 1):
+        for word in product(pa.alphabet, repeat=n):
+            final = matrix_oracle(pa, word)[-1]
+            scored.append((word, sum((final.mass(q) for q in pa.accepting), Fraction(0))))
+    return scored
+
+
+def reference_search(b: Value1Instance, max_len: int) -> SearchResult:
+    """Brute-force `bounded_value_search`: the first shortlex word of
+    highest probability."""
+    scored = _scored_shortlex(b.pa, max_len)
+    best_word, best_prob = scored[0]
+    for word, p in scored:
+        if p > best_prob:
+            best_word, best_prob = word, p
+    return SearchResult(best_word, best_prob, len(scored), exhausted=True)
+
+
+def reference_schedule(b: Value1Instance, k: int, max_len: int) -> ScheduleSearchResult:
+    """Brute-force `witness_schedule_search`: a fresh shortlex scan per
+    rung. `explored` is where the resumed scan stands, one past the last
+    word found, or every word when a rung fails."""
+    scored = _scored_shortlex(b.pa, max_len)
+    found: list[Word] = []
+    explored = 0
+    for i in range(1, k + 1):
+        threshold = 1 - Fraction(1, 2 ** i)
+        hit = next((n for n, (_, p) in enumerate(scored) if p > threshold), None)
+        if hit is None:
+            return ScheduleSearchResult(tuple(found), False, i, len(scored))
+        found.append(scored[hit][0])
+        explored = hit + 1
+    return ScheduleSearchResult(tuple(found), True, None, explored)

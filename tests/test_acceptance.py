@@ -32,7 +32,13 @@ from pasynch import (
     witness_schedule_search,
 )
 from pasynch.paformat import read_trace_csv, write_trace_csv
-from helpers import random_pa, random_value1_instance, random_word
+from helpers import (
+    random_pa,
+    random_value1_instance,
+    random_word,
+    reference_schedule,
+    reference_search,
+)
 
 import io
 
@@ -158,14 +164,14 @@ def test_criterion_06_half_bound():
 
 def test_criterion_07_dollar_absorption():
     with criterion(7, "commit letter pins the failure pair at exactly 1/2 each "
-                      "(100 automata, horizons to 10)"):
+                      "(100 automata, horizons to 10^9)"):
         rng = random.Random(0xF00D)
         for _ in range(100):
             b = random_value1_instance(rng)
             a = lift(b)
             c = twin(a)
             prefix = random_word(rng, b.pa.alphabet, 6) + (a.dollar,)
-            for horizon in (0, 1, 5, 10):
+            for horizon in (0, 1, 5, 10, 10**9):
                 assert dollar_absorption_check(c, prefix, horizon).ok
             tail = random_word(rng, a.pa.alphabet, 9, min_len=1)
             dists = outcome(c.pa, prefix + tail)
@@ -207,14 +213,17 @@ def test_criterion_09_oracle_equivalence():
 
 
 def test_criterion_10_search_determinism():
-    with criterion(10, "serial and parallel sweeps return identical results "
-                       "(50 instances)"):
+    with criterion(10, "searches are deterministic and equal to the brute-force "
+                       "reference (50 instances)"):
         rng = random.Random(0xACDC)
         for _ in range(50):
             b = random_value1_instance(rng, max_states=5)
-            serial = bounded_value_search(b, 4)
-            assert serial == bounded_value_search(b, 4, parallel=True)
-            assert serial == bounded_value_search(b, 4)
+            first = bounded_value_search(b, 4)
+            assert first == reference_search(b, 4)
+            assert first == bounded_value_search(b, 4)
+            schedule = witness_schedule_search(b, 3, 4)
+            assert schedule == reference_schedule(b, 3, 4)
+            assert schedule == witness_schedule_search(b, 3, 4)
 
 
 def test_criterion_11_format_round_trip():

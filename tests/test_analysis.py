@@ -22,7 +22,13 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from helpers import random_pa, random_value1_instance, random_word
+from helpers import (
+    random_pa,
+    random_value1_instance,
+    random_word,
+    reference_schedule,
+    reference_search,
+)
 from test_reduction import corrupted
 
 HALF = Fraction(1, 2)
@@ -104,12 +110,12 @@ class TestBoundedValueSearch:
             probs = [bounded_value_search(b, n).best_prob for n in range(5)]
             assert probs == sorted(probs)
 
-    def test_serial_parallel_agree(self):
+    def test_matches_brute_force_reference(self):
         rng = random.Random(13)
         for _ in range(10):
             b = random_value1_instance(rng, max_states=4)
-            assert bounded_value_search(b, 4) == bounded_value_search(
-                b, 4, parallel=True)
+            assert bounded_value_search(b, 4) == reference_search(b, 4)
+            assert witness_schedule_search(b, 5, 4) == reference_schedule(b, 5, 4)
 
     def test_repeat_runs_identical(self):
         b = b_half()
@@ -216,6 +222,17 @@ class TestDollarAbsorption:
         result = dollar_absorption_check(bad, ("a", c.dollar), 3)
         assert not result.ok
         assert "step 3" in result.reason
+
+    def test_detects_broken_failure_pair_row(self):
+        # all mass sits on the success sink after the commit letter, so
+        # the broken failure-pair row first shows one step later
+        c = twin(lift(b_one()))
+        bad = corrupted(c, c.q_n, "a", {c.q_n: 1})
+        assert dollar_absorption_check(bad, ("a", c.dollar), 1).ok
+        for horizon in (2, 10**9):
+            result = dollar_absorption_check(bad, ("a", c.dollar), horizon)
+            assert not result.ok
+            assert result.reason.startswith("step 4 via 'a'")
 
 
 class TestHalfBound:

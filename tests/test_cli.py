@@ -72,6 +72,15 @@ def test_trace_csv_file(files, tmp_path, capsys):
     assert all(sum(r.values()) == 1 for r in rows)
 
 
+def test_unwritable_csv_is_input_error(files, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.csv")
+    assert main(["trace", files["b_one"], "--word", "a", "--csv", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+    assert main(["lasso", files["b_one_twin"], "--loop", "a", "--reps", "1",
+                 "--csv", out]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 def test_lasso(files, capsys):
     assert main(["lasso", files["b_one_twin"], "--stem", "a.@sym:$",
                  "--loop", "@sym:#.a.@sym:$", "--reps", "2"]) == 0

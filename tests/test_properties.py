@@ -23,7 +23,13 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from helpers import random_pa, random_value1_instance, random_word
+from helpers import (
+    random_pa,
+    random_value1_instance,
+    random_word,
+    reference_schedule,
+    reference_search,
+)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 HALF = Fraction(1, 2)
@@ -199,12 +205,15 @@ def test_schedule_success_implies_certificate(seed):
 
 @given(seeds)
 @settings(max_examples=20, deadline=None)
-def test_search_deterministic_and_parallel_agrees(seed):
+def test_search_deterministic_and_matches_reference(seed):
     rng = random.Random(seed)
     b = random_value1_instance(rng, max_states=4, max_letters=2)
     first = bounded_value_search(b, 4)
     assert first == bounded_value_search(b, 4)
-    assert first == bounded_value_search(b, 4, parallel=True)
+    assert first == reference_search(b, 4)
+    schedule = witness_schedule_search(b, 3, 4)
+    assert schedule == witness_schedule_search(b, 3, 4)
+    assert schedule == reference_schedule(b, 3, 4)
 
 
 @given(seeds)
