@@ -23,7 +23,7 @@ from .core import (
     ZERO,
 )
 from .reduction import TwinPa, Value1Instance, build_witness_prefix
-from .semantics import norm_trace, outcome, step
+from .semantics import Kernel
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -90,22 +90,25 @@ def _check_space(pa: Pa, max_len: int, budget: int) -> int:
     return total
 
 
-def _accept_mass(pa: Pa, d: Dist) -> Fraction:
-    return sum((d.mass(q) for q in pa.accepting), ZERO)
+def _beats_rung(num: int, den: int, i: int) -> bool:
+    """num/den > 1 - 2^-i, in integers."""
+    return num << i > den * ((1 << i) - 1)
 
 
-def _preorder_probs(pa: Pa, max_len: int) -> Iterator[tuple[Fraction, Word]]:
-    """Yield (acceptance probability, word) in lexicographic preorder.
+def _preorder_probs(pa: Pa, max_len: int) -> Iterator[tuple[int, int, Word]]:
+    """Yield (accepting numerator, denominator, word) in lexicographic preorder.
 
     Depth first, so the stack holds at most |alphabet| entries per level.
     """
-    stack: list[tuple[Word, Dist]] = [((), pa.initial)]
+    k = Kernel(pa)
+    accepting = k.positions(pa.accepting)
+    stack = [((), k.start)]
     while stack:
-        word, dist = stack.pop()
-        yield _accept_mass(pa, dist), word
+        word, pair = stack.pop()
+        yield sum(map(pair[0].__getitem__, accepting)), pair[1], word
         if len(word) < max_len:
             for a in reversed(pa.alphabet):
-                stack.append((word + (a,), step(pa, dist, a)))
+                stack.append((word + (a,), k.advance(pair, a)))
 
 
 def bounded_value_search(
@@ -117,31 +120,38 @@ def bounded_value_search(
     """Evaluate the acceptance probability of every word up to `max_len`.
 
     The best word has the highest probability, then the shortest length;
-    `max` keeps the first of equal keys, and the preorder scan reaches
+    the first of equal candidates is kept, and the preorder scan reaches
     equal-length words in the declared alphabet order.
     """
     total = _check_space(b.pa, max_len, budget)
-    best_prob, best_word = max(
-        _preorder_probs(b.pa, max_len), key=lambda pw: (pw[0], -len(pw[1])))
-    return SearchResult(best_word, best_prob, total, exhausted=True)
+    scan = _preorder_probs(b.pa, max_len)
+    best_num, best_den, best_word = next(scan)
+    for num, den, word in scan:
+        gain = num * best_den - best_num * den
+        if gain > 0 or (gain == 0 and len(word) < len(best_word)):
+            best_num, best_den, best_word = num, den, word
+    return SearchResult(best_word, Fraction(best_num, best_den), total, exhausted=True)
 
 
-def _shortlex_probs(pa: Pa, max_len: int) -> Iterator[tuple[Word, Fraction]]:
-    """Yield (word, acceptance probability) in shortest-then-lex order.
+def _shortlex_probs(pa: Pa, max_len: int) -> Iterator[tuple[Word, int, int]]:
+    """Yield (word, accepting numerator, denominator) in shortest-then-lex order.
 
     Words of length `max_len` are yielded but never stored, so the
     largest layer kept is the one of length `max_len - 1`.
     """
-    yield (), _accept_mass(pa, pa.initial)
-    layer: list[tuple[Word, Dist]] = [((), pa.initial)]
+    k = Kernel(pa)
+    accepting = k.positions(pa.accepting)
+    v, den = k.start
+    yield (), sum(map(v.__getitem__, accepting)), den
+    layer = [((), k.start)]
     for length in range(1, max_len + 1):
-        nxt: list[tuple[Word, Dist]] = []
-        for word, dist in layer:
+        nxt = []
+        for word, pair in layer:
             for a in pa.alphabet:
-                extended, reached = word + (a,), step(pa, dist, a)
+                extended, reached = word + (a,), k.advance(pair, a)
                 if length < max_len:
                     nxt.append((extended, reached))
-                yield extended, _accept_mass(pa, reached)
+                yield extended, sum(map(reached[0].__getitem__, accepting)), reached[1]
         layer = nxt
 
 
@@ -166,22 +176,21 @@ def witness_schedule_search(
     gen = _shortlex_probs(b.pa, max_len)
     explored = 0
     found: list[Word] = []
-    current: tuple[Fraction, Word] | None = None
+    current: tuple[Word, int, int] | None = None
     for i in range(1, k + 1):
-        threshold = ONE - Fraction(1, 2 ** i)
-        if current is not None and current[0] > threshold:
-            found.append(current[1])
+        if current is not None and _beats_rung(current[1], current[2], i):
+            found.append(current[0])
             continue
-        hit: tuple[Fraction, Word] | None = None
-        for word, p in gen:
+        hit: tuple[Word, int, int] | None = None
+        for candidate in gen:
             explored += 1
-            if p > threshold:
-                hit = (p, word)
+            if _beats_rung(candidate[1], candidate[2], i):
+                hit = candidate
                 break
         if hit is None:
             return ScheduleSearchResult(tuple(found), False, i, explored)
         current = hit
-        found.append(hit[1])
+        found.append(hit[0])
     return ScheduleSearchResult(tuple(found), True, None, explored)
 
 
@@ -190,8 +199,9 @@ def certificate_check(c: TwinPa, schedule: Sequence[Sequence[str]]) -> Certifica
     checkpoint norm against its ladder rung, strictly."""
     words = [tuple(w) for w in schedule]
     combined, checkpoints = build_witness_prefix(c, words)
-    dists = outcome(c.pa, combined)
-    norms = tuple(dists[pos].norm() for pos in checkpoints)
+    k = Kernel(c.pa)
+    at = set(checkpoints)
+    norms = tuple(k.norm(pair) for pos, pair in enumerate(k.walk(combined)) if pos in at)
     thresholds = tuple(ONE - Fraction(1, 2 ** i) for i in range(1, len(words) + 1))
     ok = all(n > t for n, t in zip(norms, thresholds))
     return Certificate(tuple(words), checkpoints, norms, thresholds, ok)
@@ -223,10 +233,11 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
         raise InputError("prefix needs a commit letter with no reset letter after it")
 
     qn, qn_hat, qf = c.q_n, c.q_n_hat, c.q_f
-    sink_pair = Dist({qn: HALF, qn_hat: HALF})
-    dists = outcome(c.pa, w)
+    k = Kernel(c.pa)
+    sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
+    run = list(k.walk(w))
 
-    d = dists[j + 1]
+    d = k.dist(run[j + 1])
     if not d.support() <= {qf, qn, qn_hat}:
         stray = sorted(d.support() - {qf, qn, qn_hat})
         return CheckResult(False, f"step {j + 1}: mass outside the sinks, on {stray}")
@@ -237,21 +248,21 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
 
     end = j + 1 + horizon
     for position in range(j + 2, min(end, len(w)) + 1):
-        if dists[position] != sink_pair:
+        if run[position] != sink_pair:
             return CheckResult(
                 False,
                 f"step {position}: expected the half/half failure pair, "
-                f"got {dists[position]}")
-    for position, start in ((len(w) + 1, dists[len(w)]), (len(w) + 2, sink_pair)):
+                f"got {k.dist(run[position])}")
+    for position, start in ((len(w) + 1, run[len(w)]), (len(w) + 2, sink_pair)):
         if position > end:
             break
         for a in c.lifted_alphabet:
-            got = step(c.pa, start, a)
+            got = k.advance(start, a)
             if got != sink_pair:
                 return CheckResult(
                     False,
                     f"step {position} via {a!r}: expected the half/half "
-                    f"failure pair, got {got}")
+                    f"failure pair, got {k.dist(got)}")
     return CheckResult(True)
 
 
@@ -263,18 +274,16 @@ def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
             raise InputError(f"commit letter {a!r} at position {i} not allowed here")
         if a not in c.pa.letter_set:
             raise InputError(f"unknown letter {a!r} at position {i}")
-    trace = norm_trace(c.pa, word)
-    for entry in trace.entries:
-        if entry.norm > HALF:
-            return CheckResult(
-                False, f"step {entry.step}: norm {entry.norm} exceeds 1/2")
+    for i, norm in enumerate([Kernel.norm(pair) for pair in Kernel(c.pa).walk(word)]):
+        if norm > HALF:
+            return CheckResult(False, f"step {i}: norm {norm} exceeds 1/2")
     return CheckResult(True)
 
 
 def matrix_oracle(pa: Pa, word: Sequence[str]) -> list[Dist]:
     """Reference simulation by row-vector times per-letter matrix products.
 
-    Kept deliberately independent of `semantics.step`: indexed dense
+    Kept deliberately independent of `semantics.Kernel`: indexed dense
     matrices, explicit multiplication loops. Exact agreement with
     `semantics.outcome` is an acceptance requirement of the package.
     """

@@ -25,7 +25,7 @@ from .analysis import (
 from .core import InputError, Pa, PaError, Word
 from .paformat import load_pa, save_pa, write_trace_csv
 from .reduction import LiftedPa, TwinPa, Value1Instance, check_p1, check_p2, lift, twin
-from .semantics import acceptance_probability, lasso_trace, norm_trace, outcome
+from .semantics import TraceStream, acceptance_probability, lasso_stream, outcome, trace_stream
 
 
 def _parse_word(text: str) -> Word:
@@ -61,7 +61,7 @@ def _require_lifted(obj: Pa | LiftedPa | TwinPa, path: str) -> LiftedPa:
     return obj
 
 
-def _emit_trace(pa: Pa, trace, csv_path: str | None) -> None:
+def _emit_trace(pa: Pa, trace: TraceStream, csv_path: str | None) -> None:
     if csv_path:
         try:
             fh = open(csv_path, "w", encoding="utf-8", newline="")
@@ -110,13 +110,13 @@ def _cmd_accept(args) -> int:
 
 def _cmd_trace(args) -> int:
     pa = _pa_of(load_pa(args.file))
-    _emit_trace(pa, norm_trace(pa, _parse_word(args.word)), args.csv)
+    _emit_trace(pa, trace_stream(pa, _parse_word(args.word)), args.csv)
     return 0
 
 
 def _cmd_lasso(args) -> int:
     pa = _pa_of(load_pa(args.file))
-    trace = lasso_trace(pa, _parse_word(args.stem), _parse_word(args.loop), args.reps)
+    trace = lasso_stream(pa, _parse_word(args.stem), _parse_word(args.loop), args.reps)
     _emit_trace(pa, trace, args.csv)
     return 0
 

@@ -67,9 +67,13 @@ class Dist:
     where distributions enter the system (`Pa.validate`, the construction
     entry points), not here, so malformed automata can still be loaded,
     inspected and reported on.
+
+    The stepping kernel (`semantics.Kernel`) builds distributions from
+    integer numerators over one common denominator; those make their
+    `Fraction` map only when it is first read.
     """
 
-    __slots__ = ("_mass",)
+    __slots__ = ("_mass", "_ints")
 
     def __init__(self, mass: Mapping[str, object]):
         store: dict[str, Fraction] = {}
@@ -78,6 +82,29 @@ class Dist:
                 raise InputError(f"state names must be non-empty strings, got {state!r}")
             store[state] = as_prob(value)
         self._mass = store
+
+    @classmethod
+    def _from_ints(cls, names: tuple[str, ...], nums: tuple[int, ...], den: int,
+                   norm: Fraction | None = None) -> "Dist":
+        """Mass `nums[i] / den` on `names[i]`, trusted to lie in [0, 1].
+
+        `norm`, if the caller already made it, is `max(nums) / den`; the
+        map reuses that object for the largest entries.
+        """
+        d = cls.__new__(cls)
+        d._ints = (names, nums, den, norm)
+        return d
+
+    def __getattr__(self, name: str):
+        # only reached while the `_mass` slot of a `_from_ints` distribution is unset
+        if name != "_mass":
+            raise AttributeError(name)
+        names, nums, den, norm = self._ints
+        top = -1 if norm is None else max(nums)
+        self._mass = mass = {q: norm if x == top else Fraction(x, den)
+                             for q, x in zip(names, nums) if x}
+        del self._ints
+        return mass
 
     @classmethod
     def dirac(cls, state: str) -> "Dist":

@@ -38,7 +38,7 @@ from typing import IO, Sequence
 
 from .core import Dist, InputError, Pa, ValidationError, as_prob
 from .reduction import LiftedPa, TwinPa
-from .semantics import NormTrace
+from .semantics import NormTrace, TraceStream
 
 _LIFT_KEYS = ("lift.qf", "lift.qn", "lift.dollar", "lift.source")
 _TWIN_KEYS = ("twin.hash", "twin.q0", "twin.q0hat", "twin.qf", "twin.qn", "twin.dollar")
@@ -272,9 +272,10 @@ def save_pa(obj: Pa | LiftedPa | TwinPa, path: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from None
 
 
-def write_trace_csv(states: Sequence[str], trace: NormTrace, fh: IO[str]) -> None:
+def write_trace_csv(states: Sequence[str], trace: NormTrace | TraceStream, fh: IO[str]) -> None:
     """One CSV row per trace entry: step, letter, norm, then the exact mass
-    on every state in declared order. Masses are rational strings, never floats."""
+    on every state in declared order. Masses are rational strings, never floats.
+    Rows are written as the entries arrive, so a `TraceStream` is never held whole."""
     writer = csv.writer(fh)
     writer.writerow(["step", "letter", "norm", *states])
     for entry in trace.entries:

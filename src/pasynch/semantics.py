@@ -1,37 +1,156 @@
-"""Distribution evolution of a probabilistic automaton along finite words."""
+"""Distribution evolution of a probabilistic automaton along finite words.
+
+Every step in the package runs on one exact integer kernel, `Kernel`,
+in place of per-entry `Fraction` arithmetic: a distribution is a vector
+of integer numerators over one common denominator (the fraction-free
+representation of Bareiss, 1968). `Kernel` is internal to the package;
+the public functions here return `Dist` values, which the kernel builds
+without re-validating and which make their `Fraction` map on first read.
+"""
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import chain, repeat
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Dist, InputError, Pa, Word, ZERO
+from .core import Dist, InputError, Pa
+
+# A distribution as the kernel holds it: (numerators, denominator), in
+# lowest terms, so two pairs are equal exactly when the masses are.
+Ints = tuple[tuple[int, ...], int]
+
+
+class Kernel:
+    """`pa` compiled for exact stepping on integer numerators.
+
+    `names` lists `pa.states`, then any other name that mass can reach
+    (from the start distribution or a row target); a step that moves mass
+    out of such a name, or out of a state with a missing row, raises the
+    same `InputError` as `Pa.row`. Each letter's rows are compiled into
+    integer columns over `L_a`, the least common denominator of the
+    letter's entries. One step is then integer multiply-adds,
+    `den *= L_a` and one `gcd(den, *v)` reduction.
+
+    A kernel is built per call, for the letters the call may read, and
+    kept nowhere: caching it on the `Pa` would need the automaton to be
+    immutable, which is not enforced.
+    """
+
+    __slots__ = ("names", "start", "_index", "_letters")
+
+    def __init__(self, pa: Pa, start: Dist | None = None,
+                 letters: Iterable[str] | None = None):
+        start = pa.initial if start is None else start
+        rows = {a: [pa.delta.get((q, a)) for q in pa.states]
+                for a in (pa.alphabet if letters is None else letters)}
+        names = list(pa.states)
+        index = {q: i for i, q in enumerate(names)}
+        for d in chain((start,), *rows.values()):
+            if d is None:
+                continue
+            for q, _ in d.items():
+                if q not in index:
+                    index[q] = len(names)
+                    names.append(q)
+        self.names = tuple(names)
+        self._index = index
+        unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
+        self._letters = {a: self._compile(a, letter_rows, unknown)
+                         for a, letter_rows in rows.items()}
+        self.start = self.ints(start)
+
+    def _compile(self, letter: str, rows: list[Dist | None], unknown: list) -> tuple:
+        entries = []  # (target, source, numerator, denominator)
+        errors = []
+        for i, row in enumerate(rows):
+            if row is None:
+                errors.append((i, f"delta incomplete at ({self.names[i]},{letter})"))
+                continue
+            for target, p in row.items():
+                entries.append((self._index[target], i, p.numerator, p.denominator))
+        den = lcm(*{e[3] for e in entries})
+        columns = [([], []) for _ in self.names]
+        for j, i, num, d in entries:
+            sources, nums = columns[j]
+            sources.append(i)
+            nums.append(num * (den // d))
+        return den, [(tuple(src), tuple(nums)) for src, nums in columns], errors + unknown
+
+    def ints(self, d: Dist) -> Ints:
+        """`d` over the kernel's names; its support must lie in `names`."""
+        entries = list(d.items())
+        den = lcm(*(p.denominator for _, p in entries))
+        v = [0] * len(self.names)
+        for q, p in entries:
+            v[self._index[q]] = p.numerator * (den // p.denominator)
+        return tuple(v), den
+
+    def dist(self, pair: Ints, norm: Fraction | None = None) -> Dist:
+        return Dist._from_ints(self.names, *pair, norm)
+
+    def positions(self, states: Iterable[str]) -> tuple[int, ...]:
+        """Indices of those of `states` that mass can reach."""
+        return tuple(self._index[q] for q in states if q in self._index)
+
+    @staticmethod
+    def norm(pair: Ints) -> Fraction:
+        v, den = pair
+        return Fraction(max(v, default=0), den)
+
+    def advance(self, pair: Ints, letter: str) -> Ints:
+        """One step on `letter`, one of the letters the kernel was built for."""
+        den_a, columns, errors = self._letters[letter]
+        v, den = pair
+        for i, message in errors:
+            if v[i]:
+                raise InputError(message)
+        get = v.__getitem__
+        new = [sum(map(mul, map(get, src), nums)) for src, nums in columns]
+        den *= den_a
+        g = gcd(den, *new)
+        if g != 1:
+            new = [x // g for x in new]
+            den //= g
+        top = max(new, default=0)
+        if top > den:  # a row summing past 1 on a malformed automaton
+            raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
+        return tuple(new), den
+
+    def walk(self, word: Iterable[str]) -> Iterator[Ints]:
+        """The pair at every step of `word`, from the start distribution on."""
+        pair = self.start
+        yield pair
+        for a in word:
+            pair = self.advance(pair, a)
+            yield pair
 
 
 def step(pa: Pa, d: Dist, letter: str) -> Dist:
     """One evolution step: push each unit of mass along its transition row."""
     if letter not in pa.letter_set:
         raise InputError(f"unknown letter {letter!r}")
-    acc: dict[str, Fraction] = {}
-    for q, p in d.nonzero():
-        for target, m in pa.row(q, letter).nonzero():
-            acc[target] = acc.get(target, ZERO) + p * m
-    return Dist(acc)
+    k = Kernel(pa, d, (letter,))
+    return k.dist(k.advance(k.start, letter))
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:
     """The |word|+1 distributions visited while reading `word` from the initial one."""
-    w = pa.check_word(word)
-    dists = [pa.initial]
-    for a in w:
-        dists.append(step(pa, dists[-1], a))
-    return dists
+    k = Kernel(pa)
+    run = k.walk(pa.check_word(word))
+    next(run)
+    return [pa.initial, *map(k.dist, run)]
 
 
 def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     """Total final mass on accepting states; 0 when the accepting set is empty."""
-    final = outcome(pa, word)[-1]
-    return sum((final.mass(q) for q in pa.accepting), ZERO)
+    k = Kernel(pa)
+    for v, den in k.walk(pa.check_word(word)):
+        pass
+    return Fraction(sum(v[i] for i in k.positions(pa.accepting)), den)
 
 
 @dataclass(frozen=True)
@@ -62,23 +181,70 @@ class NormTrace:
         return tuple(e.norm for e in self.entries)
 
 
-def norm_trace(pa: Pa, word: Sequence[str]) -> NormTrace:
+class TraceStream:
+    """A norm trace computed while it is read, so that a long trace is
+    never held whole. It can be iterated once; its length is known before
+    the first step. `entries` is the stream itself, so it stands in for a
+    `NormTrace` in `paformat.write_trace_csv`."""
+
+    __slots__ = ("_entries", "_length")
+
+    def __init__(self, pa: Pa, word: Iterable[str], n_letters: int):
+        self._entries = _trace_entries(pa, word)
+        self._length = n_letters + 1
+
+    @property
+    def entries(self) -> "TraceStream":
+        return self
+
+    def __iter__(self) -> Iterator[TraceEntry]:
+        return self._entries
+
+    def __len__(self) -> int:
+        return self._length
+
+
+def _trace_entries(pa: Pa, word: Iterable[str]) -> Iterator[TraceEntry]:
+    k = Kernel(pa)
+    yield TraceEntry(0, None, pa.initial, pa.initial.norm())
+    pair = k.start
+    for i, a in enumerate(word, start=1):
+        pair = k.advance(pair, a)
+        norm = k.norm(pair)
+        yield TraceEntry(i, a, k.dist(pair, norm), norm)
+
+
+def trace_stream(pa: Pa, word: Sequence[str]) -> TraceStream:
+    """The norm trace of `word`, streamed; every letter is checked first."""
     w = pa.check_word(word)
-    dists = outcome(pa, w)
-    entries = [TraceEntry(0, None, dists[0], dists[0].norm())]
-    for i, a in enumerate(w):
-        entries.append(TraceEntry(i + 1, a, dists[i + 1], dists[i + 1].norm()))
-    return NormTrace(tuple(entries))
+    return TraceStream(pa, w, len(w))
 
 
-def lasso_trace(pa: Pa, stem: Sequence[str], loop: Sequence[str], reps: int) -> NormTrace:
-    """Trace of stem·loop^reps, a finite unrolling of an ultimately periodic word."""
-    loop_w = tuple(loop)
+def norm_trace(pa: Pa, word: Sequence[str]) -> NormTrace:
+    return NormTrace(tuple(trace_stream(pa, word)))
+
+
+def lasso_stream(pa: Pa, stem: Sequence[str], loop: Sequence[str], reps: int) -> TraceStream:
+    """The trace of stem·loop^reps, streamed. The word is never built:
+    the stem and loop letters are checked up front, and a word whose
+    trace would have more than `sys.maxsize` entries is refused."""
+    stem_w, loop_w = tuple(stem), tuple(loop)
     if not loop_w:
         raise InputError("lasso loop must be nonempty")
     if reps < 0:
         raise InputError(f"repetition count must be >= 0, got {reps}")
-    return norm_trace(pa, tuple(stem) + loop_w * reps)
+    pa.check_word(stem_w + loop_w if reps else stem_w)
+    n_letters = len(stem_w) + len(loop_w) * reps
+    if n_letters >= sys.maxsize:
+        raise InputError(
+            f"lasso word of {n_letters} letters is too long (limit {sys.maxsize - 1})")
+    word = chain(stem_w, chain.from_iterable(repeat(loop_w, reps)))
+    return TraceStream(pa, word, n_letters)
+
+
+def lasso_trace(pa: Pa, stem: Sequence[str], loop: Sequence[str], reps: int) -> NormTrace:
+    """Trace of stem·loop^reps, a finite unrolling of an ultimately periodic word."""
+    return NormTrace(tuple(lasso_stream(pa, stem, loop, reps)))
 
 
 class MaxNorm(NamedTuple):

@@ -6,11 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 from pasynch import (
+    Dist,
+    InputError,
     Pa,
     ScheduleSearchResult,
     SearchResult,
     Value1Instance,
     Word,
+    ZERO,
     matrix_oracle,
 )
 
@@ -108,3 +111,23 @@ def reference_schedule(b: Value1Instance, k: int, max_len: int) -> ScheduleSearc
         found.append(scored[hit][0])
         explored = hit + 1
     return ScheduleSearchResult(tuple(found), True, None, explored)
+
+
+def reference_step(pa: Pa, d: Dist, letter: str) -> Dist:
+    """The per-entry `Fraction` stepping loop that the integer kernel
+    replaced: push each unit of mass along its transition row."""
+    if letter not in pa.letter_set:
+        raise InputError(f"unknown letter {letter!r}")
+    acc: dict[str, Fraction] = {}
+    for q, p in d.nonzero():
+        for target, m in pa.row(q, letter).nonzero():
+            acc[target] = acc.get(target, ZERO) + p * m
+    return Dist(acc)
+
+
+def reference_outcome(pa: Pa, word) -> list[Dist]:
+    """`outcome` on top of `reference_step`."""
+    dists = [pa.initial]
+    for a in pa.check_word(word):
+        dists.append(reference_step(pa, dists[-1], a))
+    return dists

@@ -1,14 +1,28 @@
 """Command-line interface: output shapes and exit codes."""
+import contextlib
 import io
+import os
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from pasynch import b_half, b_one, lift, parse_pa, read_trace_csv, save_pa, twin
+from pasynch import (
+    b_half,
+    b_one,
+    lasso_trace,
+    lift,
+    norm_trace,
+    parse_pa,
+    read_trace_csv,
+    save_pa,
+    twin,
+    write_trace_csv,
+)
 from pasynch.cli import main
 
 
-@pytest.fixture()
-def files(tmp_path):
+def _write_fixtures(tmp_path):
     paths = {}
     for name, instance in (("b_one", b_one()), ("b_half", b_half())):
         a = lift(instance)
@@ -21,6 +35,11 @@ def files(tmp_path):
         save_pa(c, paths[name + "_twin"])
     paths["dir"] = str(tmp_path)
     return paths
+
+
+@pytest.fixture()
+def files(tmp_path):
+    return _write_fixtures(tmp_path)
 
 
 def test_accept(files, capsys):
@@ -210,3 +229,81 @@ def test_bad_word_token(files, capsys):
 
 def test_unknown_letter_exit(files, capsys):
     assert main(["accept", files["b_one"], "--word", "z"]) == 2
+
+
+def test_lasso_huge_reps_is_input_error(files, capsys):
+    assert main(["lasso", files["b_one_twin"], "--loop", "a",
+                 "--reps", "99999999999999999999"]) == 2
+    assert "too long" in capsys.readouterr().err
+
+
+def test_lasso_csv_streams_the_same_bytes(files, tmp_path, capsys):
+    with open(files["b_half_twin"]) as fh:
+        c = parse_pa(fh.read())
+    out = tmp_path / "lasso.csv"
+    assert main(["lasso", files["b_half_twin"], "--stem", "a.@sym:$",
+                 "--loop", "@sym:#.a.@sym:$", "--reps", "4", "--csv", str(out)]) == 0
+    want = io.StringIO(newline="")
+    write_trace_csv(c.pa.states, lasso_trace(c.pa, ("a", c.dollar), (c.hash, "a", c.dollar), 4),
+                    want)
+    assert out.read_bytes() == want.getvalue().encode()
+    assert main(["trace", files["b_half_twin"], "--word", "a.@sym:$.@sym:#.a"]) == 0
+    want = io.StringIO()
+    write_trace_csv(c.pa.states, norm_trace(c.pa, ("a", c.dollar, c.hash, "a")), want)
+    assert capsys.readouterr().out == want.getvalue()
+
+
+def test_lasso_and_trace_check_letters_before_opening_the_csv(files, tmp_path, capsys):
+    out = tmp_path / "never.csv"
+    assert main(["lasso", files["b_one_twin"], "--loop", "a.z", "--reps", "3",
+                 "--csv", str(out)]) == 2
+    assert "unknown letter 'z' at position 1" in capsys.readouterr().err
+    assert main(["trace", files["b_one_twin"], "--word", "a.z", "--csv", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    return _write_fixtures(tmp_path_factory.mktemp("fuzz"))
+
+
+# subcommand -> (number of file arguments, its value flags)
+COMMANDS = {
+    "validate": (1, ()), "run": (1, ("--word",)), "accept": (1, ("--word",)),
+    "trace": (1, ("--word", "--csv")), "lasso": (1, ("--stem", "--loop", "--reps", "--csv")),
+    "lift": (1, ("-o",)), "twin": (1, ("-o",)), "check-p1": (1, ("--v1", "--v2")),
+    "check-p2": (2, ("--word",)), "search": (1, ("--max-len", "--budget")),
+    "schedule": (1, ("--k", "--max-len")), "certify": (1, ("--schedule",)),
+    "absorb": (1, ("--prefix", "--horizon")), "halfbound": (1, ("--word",)),
+    "frobnicate": (0, ()),
+}
+WORDS = ("", "a", "a.a", "z", "a..a", "@sym:$", "a.@sym:$", "@sym:#.a", "a.@sym:$,a")
+SMALL_INTS = tuple(str(n) for n in range(-2, 7))
+INT_FLAGS = ("--reps", "--max-len", "--budget", "--k", "--horizon")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_main_keeps_the_exit_code_contract(fuzz_files, data):
+    # outputs never overwrite the fixtures; what they leave can be read back
+    outputs = [os.path.join(fuzz_files["dir"], name)
+               for name in ("out.pa", "out.csv", os.path.join("missing", "x.pa"))]
+    paths = [fuzz_files[k] for k in sorted(fuzz_files) if k != "dir"] + outputs
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    n_files, flags = COMMANDS[command]
+    argv = [command] + [data.draw(st.sampled_from(paths)) for _ in range(n_files)]
+    extra = data.draw(st.lists(st.sampled_from(("--word", "--reps", "-o")), max_size=1))
+    for flag in (*flags, *extra):
+        if data.draw(st.integers(0, 9)) == 0:
+            continue  # leave the flag out
+        argv.append(flag)
+        if flag in ("-o", "--csv"):
+            argv.append(data.draw(st.sampled_from(outputs)))
+        else:  # mostly a value of the flag's kind, sometimes one of the other kind
+            ints = (flag in INT_FLAGS) != (data.draw(st.integers(0, 9)) == 0)
+            argv.append(data.draw(st.sampled_from(SMALL_INTS if ints else WORDS)))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, sink.getvalue())
+    event(f"exit {code}")

@@ -1,12 +1,18 @@
 """Distribution evolution: step, outcome, acceptance, traces."""
+import random
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasynch import (
     Dist,
     InputError,
     NormTrace,
+    Pa,
     TraceEntry,
     acceptance_probability,
     b_half,
@@ -19,6 +25,8 @@ from pasynch import (
     step,
     twin,
 )
+from pasynch.semantics import lasso_stream
+from helpers import random_dist, random_pa, random_word, reference_outcome, reference_step
 
 HALF = Fraction(1, 2)
 
@@ -167,3 +175,122 @@ def test_prefix_consistency_spot():
     pa = b_half().pa
     u, w = ("a",), ("a", "a")
     assert outcome(pa, u + w)[len(u)] == outcome(pa, u)[len(u)]
+
+
+# -- malformed automata: the error surfaces where mass first needs the bad entry
+
+def test_missing_row_raises_when_mass_reaches_it():
+    pa = Pa(("p", "q"), ("a",), {"p": 1}, {("p", "a"): {"q": 1}})
+    assert outcome(pa, ("a",)) == [Dist.dirac("p"), Dist.dirac("q")]
+    for run in (outcome, norm_trace, acceptance_probability):
+        with pytest.raises(InputError, match=r"^delta incomplete at \(q,a\)$"):
+            run(pa, ("a", "a"))
+    with pytest.raises(InputError, match=r"^delta incomplete at \(q,a\)$"):
+        step(pa, Dist({"p": 0, "q": 1}), "a")
+
+
+def test_row_target_outside_states_raises_on_the_next_step():
+    pa = Pa(("p",), ("a",), {"p": 1}, {("p", "a"): {"z": 1}})
+    assert outcome(pa, ("a",))[-1] == Dist.dirac("z")
+    for run in (outcome, norm_trace, acceptance_probability):
+        with pytest.raises(InputError, match="^unknown state 'z'$"):
+            run(pa, ("a", "a"))
+
+
+def test_initial_mass_outside_states_raises_on_the_first_step():
+    pa = Pa(("p",), ("a",), {"z": 1}, {("p", "a"): {"p": 1}})
+    assert outcome(pa, ()) == [Dist.dirac("z")]
+    for run in (outcome, norm_trace, acceptance_probability):
+        with pytest.raises(InputError, match="^unknown state 'z'$"):
+            run(pa, ("a",))
+    # an explicit zero on an unknown name moves no mass and raises nothing
+    zero = Pa(("p",), ("a",), {"z": 0, "p": 1}, {("p", "a"): {"p": 1}})
+    assert outcome(zero, ("a", "a"))[-1] == Dist.dirac("p")
+
+
+def test_rows_summing_below_one_lose_mass():
+    pa = Pa(("p",), ("a",), {"p": 1}, {("p", "a"): {"p": HALF}})
+    assert norm_trace(pa, ("a", "a")).norms == (1, HALF, Fraction(1, 4))
+    assert outcome(pa, ("a", "a"))[-1] == Dist({"p": Fraction(1, 4)})
+
+
+def test_mass_past_one_is_an_input_error():
+    pa = Pa(("p", "q"), ("a",), {"p": 1},
+            {("p", "a"): {"p": 1, "q": 1}, ("q", "a"): {"q": 1}})
+    assert outcome(pa, ("a",))[-1] == Dist({"p": 1, "q": 1})
+    with pytest.raises(InputError, match=r"probability 2 outside \[0, 1\]"):
+        outcome(pa, ("a", "a"))
+
+
+# -- the integer kernel against the per-entry Fraction loop it replaced
+
+def _assert_matches_reference(pa, word):
+    want = reference_outcome(pa, word)
+    assert outcome(pa, word) == want
+    trace = norm_trace(pa, word)
+    assert [e.dist for e in trace] == want
+    assert trace.norms == tuple(d.norm() for d in want)
+    assert acceptance_probability(pa, word) == sum(
+        (want[-1].mass(q) for q in pa.accepting), Fraction(0))
+
+
+def test_kernel_matches_reference_on_the_oracle_corpus():
+    # the corpus of acceptance criterion 9
+    rng = random.Random(0xFEED)
+    for _ in range(500):
+        pa = random_pa(rng)
+        _assert_matches_reference(pa, random_word(rng, pa.alphabet, 20))
+
+
+@pytest.mark.parametrize("instance", [b_half, b_one])
+def test_kernel_matches_reference_on_twins(instance):
+    c = twin(lift(instance()))
+    for n in range(5):
+        for word in product(c.pa.alphabet, repeat=n):
+            _assert_matches_reference(c.pa, word)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_step_matches_reference_on_user_dists(seed):
+    rng = random.Random(seed)
+    pa = random_pa(rng)
+    mass = random_dist(rng, pa.states)
+    # explicit zero entries are stored by Dist and must move nothing
+    mass.update({q: 0 for q in rng.sample(pa.states, rng.randint(0, len(pa.states)))
+                 if q not in mass})
+    d = Dist(mass)
+    for a in pa.alphabet:
+        got, want = step(pa, d, a), reference_step(pa, d, a)
+        assert got == want
+        assert dict(got.nonzero()) == dict(want.nonzero())
+        assert got.norm() == want.norm()
+    _assert_matches_reference(pa, random_word(rng, pa.alphabet, 12))
+
+
+def test_kernel_dists_read_like_built_ones():
+    c = twin(lift(b_half()))
+    quarter = Fraction(1, 4)
+    built = Dist({q: quarter for q in ("sA", "sR", c.twin_of["sA"], c.twin_of["sR"])})
+    kernel_made = outcome(c.pa, ("a", c.hash, "a"))[3]
+    assert dict(kernel_made.items()) == dict(built.items())
+    assert hash(kernel_made) == hash(built)
+    assert repr(kernel_made) == repr(built)
+
+
+def test_lasso_stream_checks_letters_up_front():
+    pa = b_one().pa
+    with pytest.raises(InputError, match="letter 'z' at position 2"):
+        lasso_stream(pa, ("a", "a"), ("z",), 1)
+    # a loop repeated zero times is not part of the word
+    assert len(lasso_stream(pa, ("a",), ("z",), 0)) == 2
+
+
+def test_lasso_stream_refuses_words_past_maxsize():
+    pa = b_one().pa
+    with pytest.raises(InputError, match="too long"):
+        lasso_stream(pa, (), ("a", "a"), sys.maxsize // 2 + 1)
+    stream = lasso_stream(pa, ("a",), ("a",), sys.maxsize - 2)
+    assert len(stream.entries) == sys.maxsize
+    assert [e.step for e, _ in zip(stream, range(3))] == [0, 1, 2]
+
