@@ -50,7 +50,9 @@ class SearchResult:
 @dataclass(frozen=True)
 class ScheduleSearchResult:
     """Outcome of a threshold-ladder search; `failed_at` is the first rung
-    (1-based) with no sufficient word within the length bound."""
+    (1-based) with no sufficient word within the length bound. `explored`
+    counts the words up to the last one found in shortest-then-lex order,
+    or every word up to the bound when a rung fails."""
 
     words: tuple[Word, ...]
     ok: bool
@@ -80,10 +82,19 @@ def _word_count(n_letters: int, max_len: int) -> int:
 
 
 def _check_space(pa: Pa, max_len: int, budget: int) -> int:
-    """Number of words up to `max_len`, refused past `budget`."""
+    """Number of words up to `max_len`, refused past `budget`.
+
+    With two or more letters there are at least 2^max_len words, so a
+    `max_len` of `budget.bit_length()` or more is refused without
+    computing the count, which could have millions of digits.
+    """
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
-    total = _word_count(len(pa.alphabet), max_len)
+    n = len(pa.alphabet)
+    if n >= 2 and max_len >= budget.bit_length():
+        raise BudgetExceededError(
+            f"sweep of at least {n}^{max_len} words exceeds the budget of {budget}")
+    total = _word_count(n, max_len)
     if total > budget:
         raise BudgetExceededError(
             f"sweep of {total} words exceeds the budget of {budget}")
@@ -95,20 +106,38 @@ def _beats_rung(num: int, den: int, i: int) -> bool:
     return num << i > den * ((1 << i) - 1)
 
 
-def _preorder_probs(pa: Pa, max_len: int) -> Iterator[tuple[int, int, Word]]:
-    """Yield (accepting numerator, denominator, word) in lexicographic preorder.
+def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (shortlex rank, accepting numerator, denominator) in rank order.
 
-    Depth first, so the stack holds at most |alphabet| entries per level.
+    Each layer maps a kernel pair to the lex index of the first word of
+    its length that reached it, and only that word is extended. Equal
+    pairs have equal futures, and the first word's extensions come first
+    in shortlex order, so every word skipped has an earlier yielded word
+    with the same probability. Layers are built only below `max_len`.
     """
     k = Kernel(pa)
     accepting = k.positions(pa.accepting)
-    stack = [((), k.start)]
-    while stack:
-        word, pair = stack.pop()
-        yield sum(map(pair[0].__getitem__, accepting)), pair[1], word
-        if len(word) < max_len:
-            for a in reversed(pa.alphabet):
-                stack.append((word + (a,), k.advance(pair, a)))
+    n = len(pa.alphabet)
+    layer = {k.start: 0}
+    yield 0, sum(map(k.start[0].__getitem__, accepting)), k.start[1]
+    offset, width = 0, 1  # rank of the first word of a length, and their number
+    for length in range(1, max_len + 1):
+        offset, width, nxt = offset + width, width * n, {}
+        for pair, index in layer.items():
+            for j, a in enumerate(pa.alphabet):
+                v, den = reached = k.advance(pair, a)
+                if length < max_len:
+                    nxt.setdefault(reached, index * n + j)
+                yield offset + index * n + j, sum(map(v.__getitem__, accepting)), den
+        layer = nxt
+
+
+def _word_at(alphabet: Sequence[str], rank: int) -> Word:
+    """The word of shortlex rank `rank` over `alphabet`."""
+    n, length, width = len(alphabet), 0, 1
+    while rank >= width:
+        rank, length, width = rank - width, length + 1, width * n
+    return tuple(alphabet[rank // n ** e % n] for e in reversed(range(length)))
 
 
 def bounded_value_search(
@@ -119,40 +148,18 @@ def bounded_value_search(
 ) -> SearchResult:
     """Evaluate the acceptance probability of every word up to `max_len`.
 
-    The best word has the highest probability, then the shortest length;
-    the first of equal candidates is kept, and the preorder scan reaches
-    equal-length words in the declared alphabet order.
+    The scan runs in shortlex order and keeps the first strictly greater
+    probability, so the best word is the shortest, then the first in the
+    declared alphabet order, of the highest probability.
     """
     total = _check_space(b.pa, max_len, budget)
-    scan = _preorder_probs(b.pa, max_len)
-    best_num, best_den, best_word = next(scan)
-    for num, den, word in scan:
-        gain = num * best_den - best_num * den
-        if gain > 0 or (gain == 0 and len(word) < len(best_word)):
-            best_num, best_den, best_word = num, den, word
-    return SearchResult(best_word, Fraction(best_num, best_den), total, exhausted=True)
-
-
-def _shortlex_probs(pa: Pa, max_len: int) -> Iterator[tuple[Word, int, int]]:
-    """Yield (word, accepting numerator, denominator) in shortest-then-lex order.
-
-    Words of length `max_len` are yielded but never stored, so the
-    largest layer kept is the one of length `max_len - 1`.
-    """
-    k = Kernel(pa)
-    accepting = k.positions(pa.accepting)
-    v, den = k.start
-    yield (), sum(map(v.__getitem__, accepting)), den
-    layer = [((), k.start)]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for word, pair in layer:
-            for a in pa.alphabet:
-                extended, reached = word + (a,), k.advance(pair, a)
-                if length < max_len:
-                    nxt.append((extended, reached))
-                yield extended, sum(map(reached[0].__getitem__, accepting)), reached[1]
-        layer = nxt
+    scan = _shortlex_scan(b.pa, max_len)
+    best_rank, best_num, best_den = next(scan)
+    for rank, num, den in scan:
+        if num * best_den > best_num * den:
+            best_rank, best_num, best_den = rank, num, den
+    return SearchResult(_word_at(b.pa.alphabet, best_rank), Fraction(best_num, best_den),
+                        total, exhausted=True)
 
 
 def witness_schedule_search(
@@ -164,34 +171,24 @@ def witness_schedule_search(
 ) -> ScheduleSearchResult:
     """Find words u_1..u_k with P(u_i) > 1 - 2^-i, each within `max_len`.
 
-    Scans words in shortest-then-lex order and resumes the scan across
-    rungs: a word already found for rung i is re-checked against rung i+1
-    before the scan continues. Because every rung's satisfiers are a
-    subset of the previous rung's, the resumed scan returns exactly the
-    word a fresh scan would.
+    One shortlex scan serves every rung: a word found for rung i is
+    re-checked against rung i+1 before the scan goes on. Every rung's
+    satisfiers are a subset of the previous rung's, so the resumed scan
+    returns exactly the word a fresh scan would.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    _check_space(b.pa, max_len, budget)
-    gen = _shortlex_probs(b.pa, max_len)
-    explored = 0
+    total = _check_space(b.pa, max_len, budget)
+    scan = _shortlex_scan(b.pa, max_len)
     found: list[Word] = []
-    current: tuple[Word, int, int] | None = None
+    hit: tuple[int, int, int] | None = None
     for i in range(1, k + 1):
-        if current is not None and _beats_rung(current[1], current[2], i):
-            found.append(current[0])
-            continue
-        hit: tuple[Word, int, int] | None = None
-        for candidate in gen:
-            explored += 1
-            if _beats_rung(candidate[1], candidate[2], i):
-                hit = candidate
-                break
-        if hit is None:
-            return ScheduleSearchResult(tuple(found), False, i, explored)
-        current = hit
-        found.append(hit[0])
-    return ScheduleSearchResult(tuple(found), True, None, explored)
+        if hit is None or not _beats_rung(hit[1], hit[2], i):
+            hit = next((h for h in scan if _beats_rung(h[1], h[2], i)), None)
+            if hit is None:
+                return ScheduleSearchResult(tuple(found), False, i, total)
+        found.append(_word_at(b.pa.alphabet, hit[0]))
+    return ScheduleSearchResult(tuple(found), True, None, hit[0] + 1)
 
 
 def certificate_check(c: TwinPa, schedule: Sequence[Sequence[str]]) -> Certificate:

@@ -74,7 +74,7 @@ def random_word(rng: random.Random, alphabet, max_len: int, min_len: int = 0) ->
     return tuple(rng.choice(alphabet) for _ in range(length))
 
 
-def _scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
+def scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
     """Every word up to `max_len` in shortest-then-lex order, with its
     acceptance probability from the matrix oracle."""
     scored = []
@@ -85,10 +85,17 @@ def _scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
     return scored
 
 
-def reference_search(b: Value1Instance, max_len: int) -> SearchResult:
+def _scored(b: Value1Instance, max_len: int, scored) -> list[tuple[Word, Fraction]]:
+    if scored is None:
+        return scored_shortlex(b.pa, max_len)
+    return [entry for entry in scored if len(entry[0]) <= max_len]
+
+
+def reference_search(b: Value1Instance, max_len: int, scored=None) -> SearchResult:
     """Brute-force `bounded_value_search`: the first shortlex word of
-    highest probability."""
-    scored = _scored_shortlex(b.pa, max_len)
+    highest probability. `scored`, from `scored_shortlex` at any length
+    bound of at least `max_len`, saves scoring the words again."""
+    scored = _scored(b, max_len, scored)
     best_word, best_prob = scored[0]
     for word, p in scored:
         if p > best_prob:
@@ -96,11 +103,13 @@ def reference_search(b: Value1Instance, max_len: int) -> SearchResult:
     return SearchResult(best_word, best_prob, len(scored), exhausted=True)
 
 
-def reference_schedule(b: Value1Instance, k: int, max_len: int) -> ScheduleSearchResult:
+def reference_schedule(b: Value1Instance, k: int, max_len: int,
+                       scored=None) -> ScheduleSearchResult:
     """Brute-force `witness_schedule_search`: a fresh shortlex scan per
     rung. `explored` is where the resumed scan stands, one past the last
-    word found, or every word when a rung fails."""
-    scored = _scored_shortlex(b.pa, max_len)
+    word found, or every word when a rung fails. `scored` is as for
+    `reference_search`."""
+    scored = _scored(b, max_len, scored)
     found: list[Word] = []
     explored = 0
     for i in range(1, k + 1):

@@ -22,12 +22,14 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
+from pasynch.analysis import _shortlex_scan
 from helpers import (
     random_pa,
     random_value1_instance,
     random_word,
     reference_schedule,
     reference_search,
+    scored_shortlex,
 )
 from test_reduction import corrupted
 
@@ -154,6 +156,55 @@ class TestWitnessScheduleSearch:
             result = witness_schedule_search(b, 3, 6)
             for i, w in enumerate(result.words, start=1):
                 assert acceptance_probability(b.pa, w) > 1 - Fraction(1, 2 ** i)
+
+
+def _merging_instance() -> Value1Instance:
+    """Two same-length words, "a" and "b", reach one distribution."""
+    half = {"q1": HALF, "q2": HALF}
+    return Value1Instance(Pa(
+        states=("q0", "q1", "q2", "acc"),
+        alphabet=("a", "b"),
+        initial={"q0": 1},
+        delta={
+            ("q0", "a"): half, ("q0", "b"): half,
+            ("q1", "a"): {"acc": 1}, ("q1", "b"): {"q0": 1},
+            ("q2", "a"): {"acc": 1}, ("q2", "b"): {"q2": 1},
+            ("acc", "a"): {"acc": 1}, ("acc", "b"): {"acc": 1},
+        },
+        accepting=("acc",),
+    ))
+
+
+class TestSharedScan:
+    """Both searches run on one shortlex scan that extends only the first
+    word of each length to reach a distribution."""
+
+    def test_twins_match_brute_force_reference(self):
+        for instance in (b_half(), b_one()):
+            b = Value1Instance(twin(lift(instance)).pa, require_dirac=False)
+            scored = scored_shortlex(b.pa, 5)
+            for max_len in range(6):
+                assert (bounded_value_search(b, max_len)
+                        == reference_search(b, max_len, scored))
+                for k in (1, 3, 5):
+                    assert (witness_schedule_search(b, k, max_len)
+                            == reference_schedule(b, k, max_len, scored))
+
+    def test_only_the_first_word_to_reach_a_distribution_is_extended(self):
+        b = _merging_instance()
+        # "b" reaches what "a" reached, so "ba" (rank 5) and "bb" are skipped
+        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 2)] == [0, 1, 2, 3, 4]
+        assert bounded_value_search(b, 2) == reference_search(b, 2)
+        assert bounded_value_search(b, 2).best_word == ("a", "a")
+        for k in (1, 3):
+            result = witness_schedule_search(b, k, 3)
+            assert result == reference_schedule(b, k, 3)
+            assert result.words == (("a", "a"),) * k and result.explored == 4
+
+    def test_one_letter_sweep_at_large_max_len(self):
+        result = bounded_value_search(b_half(), 50_000)
+        assert result.best_word == ("a",) and result.best_prob == HALF
+        assert result.explored == 50_001
 
 
 class TestCertificate:

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import os
+import time
 
 import pytest
 from hypothesis import event, given, settings
@@ -161,6 +162,17 @@ def test_search_budget_exceeded(files, capsys):
     assert main(["search", files["b_one"], "--max-len", "64",
                  "--budget", "10"]) == 3
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_len", (100_000, 10**9))
+@pytest.mark.parametrize("command", (["search"], ["schedule", "--k", "1"]))
+def test_huge_max_len_is_refused_at_once(files, capsys, command, max_len):
+    start = time.perf_counter()
+    assert main([command[0], files["b_half_lift"], *command[1:],
+                 "--max-len", str(max_len)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: sweep of at least 2^{max_len} words exceeds the budget of 1048576\n")
 
 
 def test_schedule_success(files, capsys):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pasynch import (
     FormatError,
@@ -182,3 +184,38 @@ def test_trace_csv_layout():
     assert lines[0] == "step,letter,norm,s0,sA"
     assert lines[1] == "0,,1,1,0"
     assert lines[2] == "1,a,1,0,1"
+
+
+_FUZZ_DOCS = [serialize_pa(obj).splitlines()
+              for obj in (b_one().pa, lift(b_half()), twin(lift(b_one())))]
+_FUZZ_TOKENS = sorted({"0", "2/4", "3/2", "-1", "1/0", "x"}.union(
+    *(line.partition(":")[2].split() for doc in _FUZZ_DOCS for line in doc)))
+_FUZZ_KEYS = ("format", "states", "letters", "initial", "accepting", "row",
+              "lift.qf", "lift.qn", "lift.dollar", "lift.source", "twin.hash", "twin.q0",
+              "twin.q0hat", "twin.qf", "twin.qn", "twin.dollar", "twin.pair")
+_key_line = st.builds(lambda key, tokens: f"{key}: {' '.join(tokens)}",
+                      st.sampled_from(_FUZZ_KEYS),
+                      st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=6))
+
+
+@st.composite
+def _line_soup(draw):
+    """A real document with a few lines dropped or generated key lines inserted."""
+    lines = list(draw(st.sampled_from(_FUZZ_DOCS)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(1, len(lines)))
+        if i < len(lines) and draw(st.booleans()):
+            del lines[i]
+        else:
+            lines.insert(i, draw(_key_line))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _line_soup()), st.booleans())
+def test_parse_pa_returns_or_raises_input_error(text, require_valid):
+    # metadata role errors (e.g. a sink that is not a state) are plain InputError
+    try:
+        parse_pa(text, require_valid=require_valid)
+    except InputError:
+        pass
