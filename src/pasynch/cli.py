@@ -10,6 +10,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -156,7 +157,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_schedule(args) -> int:
     instance = Value1Instance(_pa_of(load_pa(args.file)))
-    result = witness_schedule_search(instance, args.k, args.max_len)
+    result = witness_schedule_search(instance, args.k, args.max_len, budget=args.budget)
     for i, word in enumerate(result.words, start=1):
         print(f"u{i}: {_format_word(word)}")
     if result.ok:
@@ -189,7 +190,11 @@ def _cmd_halfbound(args) -> int:
     return _report(half_bound_check(c, _parse_word(args.word)))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, and help and errors go to `sys.stdout`/`sys.stderr` as they
+    are when printed."""
     parser = argparse.ArgumentParser(
         prog="pasynch",
         description="Exact-rational probabilistic-automata toolkit.",
@@ -256,6 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--max-len", required=True, type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("certify", help="checkpoint-norm certificate for a schedule")

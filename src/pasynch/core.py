@@ -7,6 +7,7 @@ float would silently turn equality checks into tolerance games.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -53,7 +54,7 @@ def as_prob(value: object) -> Fraction:
             raise InputError(f"bad rational literal {value!r}: {exc}") from None
     else:
         raise InputError(f"cannot read a probability from {value!r}")
-    if p < ZERO or p > ONE:
+    if not 0 <= p.numerator <= p.denominator:
         raise InputError(f"probability {p} outside [0, 1]")
     return p
 
@@ -131,7 +132,10 @@ class Dist:
         return max(self._mass.values(), default=ZERO)
 
     def total(self) -> Fraction:
-        return sum(self._mass.values(), ZERO)
+        # one Fraction over the common denominator, not one per addition
+        masses = self._mass.values()
+        den = math.lcm(*(p.denominator for p in masses))
+        return Fraction(sum(p.numerator * (den // p.denominator) for p in masses), den)
 
     def is_valid(self) -> bool:
         return self.total() == ONE

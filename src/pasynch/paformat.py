@@ -54,7 +54,9 @@ class FormatError(InputError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-def _mass_pairs(tokens: list[str], line: int, what: str) -> dict[str, Fraction]:
+def _mass_pairs(tokens: list[str], line: int, what: str,
+                parsed: dict[str, Fraction]) -> dict[str, Fraction]:
+    """Name -> probability for `tokens`; `parsed` memoises literals already read."""
     if not tokens:
         raise FormatError(f"{what} needs at least one state/probability pair", line)
     if len(tokens) % 2:
@@ -63,10 +65,13 @@ def _mass_pairs(tokens: list[str], line: int, what: str) -> dict[str, Fraction]:
     for name, literal in zip(tokens[::2], tokens[1::2]):
         if name in out:
             raise FormatError(f"{what} mentions {name!r} twice", line)
-        try:
-            out[name] = as_prob(literal)
-        except InputError as exc:
-            raise FormatError(str(exc), line) from None
+        p = parsed.get(literal)
+        if p is None:
+            try:
+                p = parsed[literal] = as_prob(literal)
+            except InputError as exc:
+                raise FormatError(str(exc), line) from None
+        out[name] = p
     return out
 
 
@@ -124,7 +129,8 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
     if len(set(letter_tokens)) != len(letter_tokens):
         raise FormatError("duplicate letters", letter_line)
 
-    initial = _mass_pairs(*singles["initial"], what="initial distribution")
+    parsed: dict[str, Fraction] = {}  # literal text -> value, for this document only
+    initial = _mass_pairs(*singles["initial"], what="initial distribution", parsed=parsed)
     accepting = singles["accepting"][0]
 
     delta: dict[tuple[str, str], Dist] = {}
@@ -134,7 +140,7 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
         state, letter = tokens[0], tokens[1]
         if (state, letter) in delta:
             raise FormatError(f"duplicate row for ({state},{letter})", lineno)
-        delta[(state, letter)] = Dist(_mass_pairs(tokens[2:], lineno, what="row"))
+        delta[(state, letter)] = Dist(_mass_pairs(tokens[2:], lineno, what="row", parsed=parsed))
 
     pa = Pa(state_tokens, letter_tokens, initial, delta, accepting)
     if require_valid:

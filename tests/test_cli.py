@@ -20,7 +20,7 @@ from pasynch import (
     twin,
     write_trace_csv,
 )
-from pasynch.cli import main
+from pasynch.cli import _build_parser, main
 
 
 def _write_fixtures(tmp_path):
@@ -175,6 +175,12 @@ def test_huge_max_len_is_refused_at_once(files, capsys, command, max_len):
         f"error: sweep of at least 2^{max_len} words exceeds the budget of 1048576\n")
 
 
+def test_schedule_budget_exceeded(files, capsys):
+    assert main(["schedule", files["b_one"], "--k", "1", "--max-len", "64",
+                 "--budget", "10"]) == 3
+    assert "budget" in capsys.readouterr().err
+
+
 def test_schedule_success(files, capsys):
     assert main(["schedule", files["b_one"], "--k", "3", "--max-len", "4"]) == 0
     assert capsys.readouterr().out == "u1: a\nu2: a\nu3: a\n"
@@ -223,6 +229,28 @@ def test_halfbound_rejects_commit(files, capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_reused_parser_gives_the_same_results(files):
+    sequence = (["--help"], ["search", files["b_half"]], ["frobnicate"],
+                ["accept", files["b_half"], "--word", "a.a"])
+
+    def one_pass():
+        results = []
+        for argv in sequence:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    first = one_pass()
+    assert [code for code, _, _ in first] == [0, 2, 2, 0]
+    assert first[0][1].startswith("usage: pasynch")
+    assert "--max-len" in first[1][2]
+    assert first[3][1] == "1/2\n"
+    assert one_pass() == first
+    assert _build_parser() is _build_parser()
 
 
 def test_unknown_flag(files, capsys):
@@ -285,7 +313,7 @@ COMMANDS = {
     "trace": (1, ("--word", "--csv")), "lasso": (1, ("--stem", "--loop", "--reps", "--csv")),
     "lift": (1, ("-o",)), "twin": (1, ("-o",)), "check-p1": (1, ("--v1", "--v2")),
     "check-p2": (2, ("--word",)), "search": (1, ("--max-len", "--budget")),
-    "schedule": (1, ("--k", "--max-len")), "certify": (1, ("--schedule",)),
+    "schedule": (1, ("--k", "--max-len", "--budget")), "certify": (1, ("--schedule",)),
     "absorb": (1, ("--prefix", "--horizon")), "halfbound": (1, ("--word",)),
     "frobnicate": (0, ()),
 }

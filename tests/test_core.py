@@ -2,6 +2,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pasynch import Dist, InputError, Pa, as_prob, b_one, lift, twin
 
@@ -48,6 +50,18 @@ class TestProb:
         with pytest.raises(InputError):
             as_prob("1/0")
 
+    @given(st.integers(-30, 30), st.integers(1, 30))
+    def test_accepts_exactly_the_unit_interval(self, num, den):
+        p = Fraction(num, den)
+        forms = [p, str(p), f"{num}/{den}"] + ([p.numerator] if p.denominator == 1 else [])
+        for value in forms:
+            if 0 <= p <= 1:
+                assert as_prob(value) == p
+            else:
+                with pytest.raises(InputError) as err:
+                    as_prob(value)
+                assert str(err.value) == f"probability {p} outside [0, 1]"
+
 
 class TestDist:
     def test_support_dirac(self):
@@ -79,6 +93,11 @@ class TestDist:
     def test_total(self):
         assert Dist({"q0": "1/4", "q1": "1/4"}).total() == Fraction(1, 2)
         assert Dist({"q0": "1/2", "q1": "1/2"}).is_valid()
+
+    @given(st.dictionaries(st.sampled_from("abcdef"),
+                           st.fractions(min_value=0, max_value=1, max_denominator=60)))
+    def test_total_is_the_exact_sum(self, mass):
+        assert Dist(mass).total() == sum(mass.values(), Fraction(0))
 
     def test_bad_state_names(self):
         with pytest.raises(InputError):

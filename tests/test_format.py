@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pasynch import (
+    Dist,
     FormatError,
     InputError,
     LiftedPa,
@@ -80,6 +81,40 @@ def test_syntax_errors_carry_line_numbers():
         parse_pa("format: pa/1\nstates: s0\nletters: a\ninitial: s0 1\n")
     with pytest.raises(FormatError, match="expected 'key"):
         parse_pa("format: pa/1\njust some words\n")
+
+
+SHARED_DOC = """\
+format: pa/1
+states: s0 s1
+letters: a b
+initial: s0 1
+accepting: s1
+row: s0 a s0 1/2 s1 1/2
+row: s0 b s0 LIT s1 1/2
+row: s1 a s1 1
+row: s1 b s1 LIT s0 LIT
+"""
+
+
+@pytest.mark.parametrize("literal, message", (
+    ("3/2", "probability 3/2 outside [0, 1]"),
+    ("x", "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+))
+def test_repeated_bad_literal_reports_its_first_line(literal, message):
+    with pytest.raises(FormatError) as err:
+        parse_pa(SHARED_DOC.replace("LIT", literal))
+    assert err.value.line == 7
+    assert str(err.value) == f"line 7: {message}"
+
+
+def test_rows_sharing_a_literal_equal_fresh_fractions():
+    pa = parse_pa(SHARED_DOC.replace("LIT", "2/4"))
+    assert pa.initial == Dist({"s0": Fraction(1)})
+    for key in (("s0", "a"), ("s0", "b"), ("s1", "b")):
+        row = pa.delta[key]
+        assert row == Dist({q: Fraction(1, 2) for q in ("s0", "s1")})
+        assert all(type(p) is Fraction and p.denominator == 2 for _, p in row.items())
+    assert pa.delta[("s1", "a")] == Dist({"s1": Fraction(1)})
 
 
 def test_unsupported_version():
