@@ -115,8 +115,8 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     in shortlex order, so every word skipped has an earlier yielded word
     with the same probability. Layers are built only below `max_len`.
     """
-    k = Kernel(pa)
-    accepting = k.positions(pa.accepting)
+    k = Kernel.of(pa)
+    accepting = k.accepting
     n = len(pa.alphabet)
     layer = {k.start: 0}
     yield 0, sum(map(k.start[0].__getitem__, accepting)), k.start[1]
@@ -196,7 +196,7 @@ def certificate_check(c: TwinPa, schedule: Sequence[Sequence[str]]) -> Certifica
     checkpoint norm against its ladder rung, strictly."""
     words = [tuple(w) for w in schedule]
     combined, checkpoints = build_witness_prefix(c, words)
-    k = Kernel(c.pa)
+    k = Kernel.of(c.pa)
     at = set(checkpoints)
     norms = tuple(k.norm(pair) for pos, pair in enumerate(k.walk(combined)) if pos in at)
     thresholds = tuple(ONE - Fraction(1, 2 ** i) for i in range(1, len(words) + 1))
@@ -230,7 +230,7 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
         raise InputError("prefix needs a commit letter with no reset letter after it")
 
     qn, qn_hat, qf = c.q_n, c.q_n_hat, c.q_f
-    k = Kernel(c.pa)
+    k = Kernel.of(c.pa)
     sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
     run = list(k.walk(w))
 
@@ -271,7 +271,7 @@ def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
             raise InputError(f"commit letter {a!r} at position {i} not allowed here")
         if a not in c.pa.letter_set:
             raise InputError(f"unknown letter {a!r} at position {i}")
-    for i, norm in enumerate([Kernel.norm(pair) for pair in Kernel(c.pa).walk(word)]):
+    for i, norm in enumerate([Kernel.norm(pair) for pair in Kernel.of(c.pa).walk(word)]):
         if norm > HALF:
             return CheckResult(False, f"step {i}: norm {norm} exceeds 1/2")
     return CheckResult(True)

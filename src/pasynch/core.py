@@ -8,8 +8,10 @@ float would silently turn equality checks into tolerance games.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Word = tuple[str, ...]
@@ -17,6 +19,9 @@ Word = tuple[str, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+# the only probability literals: ASCII digits, optionally over ASCII digits
+_LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
 class PaError(Exception):
@@ -38,7 +43,8 @@ class ValidationError(InputError):
 def as_prob(value: object) -> Fraction:
     """Coerce `value` to an exact probability in [0, 1].
 
-    Accepts Fraction, int, and "p/q" or integer strings; Fraction keeps
+    Accepts Fraction, int, and "p/q" or integer strings of ASCII digits
+    (no sign, point, exponent, underscore or padding); Fraction keeps
     everything in lowest terms. Floats are refused.
     """
     if isinstance(value, float):
@@ -56,6 +62,8 @@ def as_prob(value: object) -> Fraction:
         raise InputError(f"cannot read a probability from {value!r}")
     if not 0 <= p.numerator <= p.denominator:
         raise InputError(f"probability {p} outside [0, 1]")
+    if isinstance(value, str) and not _LITERAL.fullmatch(value):
+        raise InputError(f"bad rational literal {value!r}: use p/q or an integer, in ASCII digits")
     return p
 
 
@@ -183,8 +191,9 @@ class Pa:
 
     `states` and `alphabet` keep their declared order; serialization and
     search tie-breaking rely on it. `delta` maps every (state, letter)
-    pair to the successor distribution. Instances are treated as immutable
-    and may be shared freely; no operation mutates them.
+    pair to the successor distribution. Instances are immutable, `delta`
+    included, so the `validate` report and the stepping kernel
+    (`semantics.Kernel.of`) are computed on first use and kept.
 
     Construction is structurally permissive: rows that do not sum to 1,
     missing rows, or dangling names are reported by `validate` rather than
@@ -192,7 +201,7 @@ class Pa:
     """
 
     __slots__ = ("states", "alphabet", "initial", "delta", "accepting",
-                 "_state_set", "_letter_set")
+                 "state_set", "letter_set", "_report", "_kernel")
 
     def __init__(
         self,
@@ -202,30 +211,29 @@ class Pa:
         delta: Mapping[tuple[str, str], Mapping[str, object] | Dist],
         accepting: Iterable[str] = (),
     ):
-        self.states = tuple(states)
-        self.alphabet = tuple(alphabet)
-        self.initial = initial if isinstance(initial, Dist) else Dist(initial)
-        self.delta = {
-            key: (row if isinstance(row, Dist) else Dist(row))
-            for key, row in dict(delta).items()
-        }
-        self.accepting = frozenset(accepting)
-        self._state_set = frozenset(self.states)
-        self._letter_set = frozenset(self.alphabet)
+        states, alphabet = tuple(states), tuple(alphabet)
+        initial = initial if isinstance(initial, Dist) else Dist(initial)
+        delta = MappingProxyType({key: (row if isinstance(row, Dist) else Dist(row))
+                                  for key, row in dict(delta).items()})
+        values = (states, alphabet, initial, delta, frozenset(accepting),  # slot order
+                  frozenset(states), frozenset(alphabet), None, None)
+        for name, value in zip(Pa.__slots__, values):
+            object.__setattr__(self, name, value)
 
-    @property
-    def state_set(self) -> frozenset[str]:
-        return self._state_set
+    def _frozen(self, name: str, value: object = None):
+        raise AttributeError(f"Pa is immutable: cannot change {name!r}")
 
-    @property
-    def letter_set(self) -> frozenset[str]:
-        return self._letter_set
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        # rebuilt from its parts, so a copy never carries the cached values
+        return Pa, (self.states, self.alphabet, self.initial, dict(self.delta), self.accepting)
 
     def row(self, state: str, letter: str) -> Dist:
         """The transition distribution out of (state, letter)."""
-        if state not in self._state_set:
+        if state not in self.state_set:
             raise InputError(f"unknown state {state!r}")
-        if letter not in self._letter_set:
+        if letter not in self.letter_set:
             raise InputError(f"unknown letter {letter!r}")
         try:
             return self.delta[(state, letter)]
@@ -248,12 +256,14 @@ class Pa:
         """Normalize a word to a tuple, rejecting letters outside the alphabet."""
         w = tuple(word)
         for i, a in enumerate(w):
-            if a not in self._letter_set:
+            if a not in self.letter_set:
                 raise InputError(f"unknown letter {a!r} at position {i}")
         return w
 
     def validate(self) -> ValidationReport:
-        """Collect every invariant violation instead of failing on the first."""
+        """Every invariant violation, not just the first; computed once, then kept."""
+        if self._report is not None:
+            return self._report
         v: list[str] = []
         seen: set[str] = set()
         for q in self.states:
@@ -271,16 +281,16 @@ class Pa:
             seen.add(a)
 
         for state, _ in self.initial.items():
-            if state not in self._state_set:
+            if state not in self.state_set:
                 v.append(f"initial mass on unknown state {state!r}")
         total = self.initial.total()
         if total != ONE:
             v.append(f"initial distribution sums to {total}")
 
         for (q, a) in self.delta:
-            if q not in self._state_set:
+            if q not in self.state_set:
                 v.append(f"delta row for unknown state {q!r}")
-            elif a not in self._letter_set:
+            elif a not in self.letter_set:
                 v.append(f"delta row for unknown letter {a!r}")
         for q in self.states:
             for a in self.alphabet:
@@ -289,16 +299,23 @@ class Pa:
                     v.append(f"delta incomplete at ({q},{a})")
                     continue
                 for target, _ in row.items():
-                    if target not in self._state_set:
+                    if target not in self.state_set:
                         v.append(f"row ({q},{a}) targets unknown state {target!r}")
                 total = row.total()
                 if total != ONE:
                     v.append(f"row ({q},{a}) sums to {total}")
 
         for q in self.accepting:
-            if q not in self._state_set:
+            if q not in self.state_set:
                 v.append(f"accepting state {q!r} not a state")
-        return ValidationReport(tuple(v))
+        report = ValidationReport(tuple(v))
+        object.__setattr__(self, "_report", report)
+        return report
+
+    def require_valid(self) -> None:
+        """Raise `ValidationError` unless the automaton passes `validate`."""
+        if not self.validate().ok:
+            raise ValidationError(self.validate())
 
     def __eq__(self, other: object):
         if not isinstance(other, Pa):
@@ -309,7 +326,7 @@ class Pa:
                 and self.accepting == other.accepting
                 and self.delta == other.delta)
 
-    __hash__ = None  # mutable-looking aggregate; identity hashing would mislead
+    __hash__ = None  # equality compares the parts; identity hashing would mislead
 
     def __repr__(self):
         return (f"Pa({len(self.states)} states, {len(self.alphabet)} letters, "

@@ -14,7 +14,8 @@ non-space character is ``#`` are ignored. Every other line is
 `format` must come first; `states`, `letters`, `initial` and `accepting`
 appear exactly once; one `row` line per (state, letter) pair. Names are
 free-form tokens without whitespace, probabilities are exact ``p/q`` or
-integer literals and are canonicalized on read (``2/4`` reads as ``1/2``).
+integer literals in ASCII digits and are canonicalized on read (``2/4``
+reads as ``1/2``).
 
 Automata produced by the constructions carry their role assignments in an
 optional metadata block, so downstream tools recover roles without
@@ -36,7 +37,7 @@ import csv
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .core import Dist, InputError, Pa, ValidationError, as_prob
+from .core import Dist, InputError, Pa, as_prob
 from .reduction import LiftedPa, TwinPa
 from .semantics import NormTrace, TraceStream
 
@@ -144,9 +145,7 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
 
     pa = Pa(state_tokens, letter_tokens, initial, delta, accepting)
     if require_valid:
-        report = pa.validate()
-        if not report.ok:
-            raise ValidationError(report)
+        pa.require_valid()
 
     has_lift = any(k in singles for k in _LIFT_KEYS)
     has_twin = any(k in singles for k in _TWIN_KEYS) or pairs
@@ -225,9 +224,7 @@ def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:
     else:
         pa, lifted, twinned = obj, None, None
 
-    report = pa.validate()
-    if not report.ok:
-        raise ValidationError(report)
+    pa.require_valid()
     for q in pa.states:
         _check_token(q, "state name")
     for a in pa.alphabet:
@@ -264,7 +261,7 @@ def load_pa(path: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parse_pa(text, require_valid=require_valid)
 

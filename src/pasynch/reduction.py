@@ -36,7 +36,6 @@ from .core import (
     InputError,
     ONE,
     Pa,
-    ValidationError,
     Word,
     ZERO,
 )
@@ -62,9 +61,7 @@ class Value1Instance:
     """
 
     def __init__(self, pa: Pa, *, require_dirac: bool = True):
-        report = pa.validate()
-        if not report.ok:
-            raise ValidationError(report)
+        pa.require_valid()
         if not pa.accepting:
             raise InputError("instance needs a nonempty accepting set")
         supp = pa.initial.support()
@@ -202,9 +199,7 @@ def lift(b: Value1Instance) -> LiftedPa:
 def _require_lifted(a: LiftedPa) -> None:
     """Reject inputs that do not satisfy the lifted-automaton invariants."""
     pa = a.pa
-    report = pa.validate()
-    if not report.ok:
-        raise ValidationError(report)
+    pa.require_valid()
     if pa.accepting != {a.q_f}:
         raise InputError("accepting set must be exactly the success sink")
     if set(pa.states) != set(a.source_states) | {a.q_f, a.q_n}:

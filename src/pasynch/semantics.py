@@ -28,30 +28,30 @@ class Kernel:
     """`pa` compiled for exact stepping on integer numerators.
 
     `names` lists `pa.states`, then any other name that mass can reach
-    (from the start distribution or a row target); a step that moves mass
-    out of such a name, or out of a state with a missing row, raises the
-    same `InputError` as `Pa.row`. Each letter's rows are compiled into
-    integer columns over `L_a`, the least common denominator of the
+    (from the initial distribution or a row target); a step that moves
+    mass out of such a name, or out of a state with a missing row, raises
+    the same `InputError` as `Pa.row`. Each letter's rows are compiled
+    into integer columns over `L_a`, the least common denominator of the
     letter's entries. One step is then integer multiply-adds,
-    `den *= L_a` and one `gcd(den, *v)` reduction.
-
-    A kernel is built per call, for the letters the call may read, and
-    kept nowhere: caching it on the `Pa` would need the automaton to be
-    immutable, which is not enforced.
+    `den *= L_a` and one `gcd(den, *v)` reduction. `start` is the initial
+    pair and `accepting` the accepting states' indices. `Kernel.of`
+    compiles each (immutable) `Pa` once, on first use.
     """
 
-    __slots__ = ("names", "start", "_index", "_letters")
+    __slots__ = ("names", "start", "accepting", "_index", "_letters")
 
-    def __init__(self, pa: Pa, start: Dist | None = None,
-                 letters: Iterable[str] | None = None):
-        start = pa.initial if start is None else start
-        rows = {a: [pa.delta.get((q, a)) for q in pa.states]
-                for a in (pa.alphabet if letters is None else letters)}
+    @classmethod
+    def of(cls, pa: Pa) -> "Kernel":
+        """The kernel of `pa`, compiled on the first call and kept on `pa`."""
+        if pa._kernel is None:
+            object.__setattr__(pa, "_kernel", cls(pa))
+        return pa._kernel
+
+    def __init__(self, pa: Pa):
+        rows = {a: [pa.delta.get((q, a)) for q in pa.states] for a in pa.alphabet}
         names = list(pa.states)
         index = {q: i for i, q in enumerate(names)}
-        for d in chain((start,), *rows.values()):
-            if d is None:
-                continue
+        for d in filter(None, chain((pa.initial,), *rows.values())):  # None: missing row
             for q, _ in d.items():
                 if q not in index:
                     index[q] = len(names)
@@ -61,7 +61,8 @@ class Kernel:
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
         self._letters = {a: self._compile(a, letter_rows, unknown)
                          for a, letter_rows in rows.items()}
-        self.start = self.ints(start)
+        self.start = self.ints(pa.initial)
+        self.accepting = tuple(index[q] for q in pa.accepting if q in index)
 
     def _compile(self, letter: str, rows: list[Dist | None], unknown: list) -> tuple:
         entries = []  # (target, source, numerator, denominator)
@@ -81,20 +82,18 @@ class Kernel:
         return den, [(tuple(src), tuple(nums)) for src, nums in columns], errors + unknown
 
     def ints(self, d: Dist) -> Ints:
-        """`d` over the kernel's names; its support must lie in `names`."""
-        entries = list(d.items())
+        """`d` over the kernel's names; positive mass elsewhere is an `InputError`."""
+        entries = list(d.nonzero())
         den = lcm(*(p.denominator for _, p in entries))
         v = [0] * len(self.names)
         for q, p in entries:
+            if q not in self._index:
+                raise InputError(f"unknown state {q!r}")
             v[self._index[q]] = p.numerator * (den // p.denominator)
         return tuple(v), den
 
     def dist(self, pair: Ints, norm: Fraction | None = None) -> Dist:
         return Dist._from_ints(self.names, *pair, norm)
-
-    def positions(self, states: Iterable[str]) -> tuple[int, ...]:
-        """Indices of those of `states` that mass can reach."""
-        return tuple(self._index[q] for q in states if q in self._index)
 
     @staticmethod
     def norm(pair: Ints) -> Fraction:
@@ -102,7 +101,7 @@ class Kernel:
         return Fraction(max(v, default=0), den)
 
     def advance(self, pair: Ints, letter: str) -> Ints:
-        """One step on `letter`, one of the letters the kernel was built for."""
+        """One step on `letter`, a letter of the automaton."""
         den_a, columns, errors = self._letters[letter]
         v, den = pair
         for i, message in errors:
@@ -133,13 +132,13 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     """One evolution step: push each unit of mass along its transition row."""
     if letter not in pa.letter_set:
         raise InputError(f"unknown letter {letter!r}")
-    k = Kernel(pa, d, (letter,))
-    return k.dist(k.advance(k.start, letter))
+    k = Kernel.of(pa)
+    return k.dist(k.advance(k.ints(d), letter))
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:
     """The |word|+1 distributions visited while reading `word` from the initial one."""
-    k = Kernel(pa)
+    k = Kernel.of(pa)
     run = k.walk(pa.check_word(word))
     next(run)
     return [pa.initial, *map(k.dist, run)]
@@ -147,10 +146,10 @@ def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:
 
 def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     """Total final mass on accepting states; 0 when the accepting set is empty."""
-    k = Kernel(pa)
+    k = Kernel.of(pa)
     for v, den in k.walk(pa.check_word(word)):
         pass
-    return Fraction(sum(v[i] for i in k.positions(pa.accepting)), den)
+    return Fraction(sum(v[i] for i in k.accepting), den)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ class TraceStream:
 
 
 def _trace_entries(pa: Pa, word: Iterable[str]) -> Iterator[TraceEntry]:
-    k = Kernel(pa)
+    k = Kernel.of(pa)
     yield TraceEntry(0, None, pa.initial, pa.initial.norm())
     pair = k.start
     for i, a in enumerate(word, start=1):

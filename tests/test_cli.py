@@ -20,6 +20,7 @@ from pasynch import (
     twin,
     write_trace_csv,
 )
+from pasynch import core
 from pasynch.cli import _build_parser, main
 
 
@@ -260,6 +261,33 @@ def test_unknown_flag(files, capsys):
 def test_missing_file(capsys):
     assert main(["accept", "/nonexistent/x.pa", "--word", "a"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.pa"
+    path.write_bytes(b"\xff\xfe" + "format: pa/1\n".encode("utf-16-le"))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("command, automata", (
+    (["lift", "b_one", "-o", "OUT"], 2),
+    (["twin", "b_one_lift", "-o", "OUT"], 2),
+    (["schedule", "b_one", "--k", "2", "--max-len", "2"], 1),
+))
+def test_each_automaton_is_validated_once(files, tmp_path, monkeypatch, command, automata):
+    made = []
+
+    def counted(violations):
+        made.append(violations)
+        return report_type(violations)
+
+    report_type = core.ValidationReport
+    monkeypatch.setattr(core, "ValidationReport", counted)
+    out = str(tmp_path / "out.pa")
+    argv = [files.get(arg, out if arg == "OUT" else arg) for arg in command]
+    assert main(argv) == 0
+    assert made == [()] * automata
 
 
 def test_bad_word_token(files, capsys):

@@ -1,11 +1,24 @@
 """Data model: probabilities, distributions, automata, validation, Post sets."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pasynch import Dist, InputError, Pa, as_prob, b_one, lift, twin
+from pasynch import (
+    Dist,
+    InputError,
+    Pa,
+    ValidationError,
+    acceptance_probability,
+    as_prob,
+    b_one,
+    lift,
+    outcome,
+    twin,
+)
 
 
 def two_state_pa():
@@ -143,6 +156,55 @@ class TestValidate:
         violations = pa.validate().violations
         assert any("duplicate state name" in v for v in violations)
         assert any("duplicate letter" in v for v in violations)
+
+
+class TestImmutablePa:
+    @pytest.mark.parametrize("name", (
+        "states", "alphabet", "initial", "delta", "accepting", "state_set", "letter_set",
+        "_report", "_kernel", "extra",
+    ))
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        pa = two_state_pa()
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(pa, name, None)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(pa, name)
+        assert pa == two_state_pa()
+
+    def test_delta_is_read_only(self):
+        pa = two_state_pa()
+        with pytest.raises(TypeError):
+            pa.delta[("q0", "a")] = Dist({"q0": 1})
+        with pytest.raises(TypeError):
+            del pa.delta[("q0", "a")]
+        assert pa.delta.get(("q0", "a")) == Dist({"q1": 1})
+        assert pa.delta.get(("q0", "z")) is None
+        assert dict(pa.delta) == dict(two_state_pa().delta)
+
+    def test_validation_report_is_computed_once(self):
+        pa = Pa(("q0",), ("a",), {"q0": 1}, {("q0", "a"): {"q0": "3/4"}})
+        assert pa.validate() is pa.validate()
+        with pytest.raises(ValidationError) as err:
+            pa.require_valid()
+        assert err.value.report is pa.validate()
+        assert two_state_pa().require_valid() is None
+
+    @pytest.mark.parametrize("clone", (
+        copy.copy, copy.deepcopy, lambda pa: pickle.loads(pickle.dumps(pa)),
+    ), ids=("copy", "deepcopy", "pickle"))
+    def test_copies_are_equal_and_immutable(self, clone):
+        pa = twin(lift(b_one())).pa
+        assert pa.validate().ok and acceptance_probability(pa, ("a",)) == 0
+        other = clone(pa)
+        assert other == pa and other is not pa
+        assert (other.states, other.alphabet, other.accepting) == (
+            pa.states, pa.alphabet, pa.accepting)
+        assert other.validate() == pa.validate() and other.validate() is not pa.validate()
+        assert outcome(other, ("a", "a")) == outcome(pa, ("a", "a"))
+        with pytest.raises(AttributeError):
+            other.states = ()
+        with pytest.raises(TypeError):
+            other.delta[("x", "y")] = Dist({"x": 1})
 
 
 class TestPost:

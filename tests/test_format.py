@@ -14,6 +14,7 @@ from pasynch import (
     LiftedPa,
     TwinPa,
     ValidationError,
+    as_prob,
     b_half,
     b_one,
     lift,
@@ -99,12 +100,28 @@ row: s1 b s1 LIT s0 LIT
 @pytest.mark.parametrize("literal, message", (
     ("3/2", "probability 3/2 outside [0, 1]"),
     ("x", "bad rational literal 'x': Invalid literal for Fraction: 'x'"),
+    ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
 ))
 def test_repeated_bad_literal_reports_its_first_line(literal, message):
     with pytest.raises(FormatError) as err:
         parse_pa(SHARED_DOC.replace("LIT", literal))
     assert err.value.line == 7
     assert str(err.value) == f"line 7: {message}"
+
+
+@pytest.mark.parametrize("literal", (
+    "0.5", "5e-1", "1e0", "+1/2", "-0", " 1/2 ", "1_0/20", "\uff11/\uff12",
+))
+def test_only_ascii_digit_literals_are_probabilities(literal):
+    # each of these reads as a Fraction in [0, 1], but is outside the grammar
+    message = f"bad rational literal {literal!r}: use p/q or an integer, in ASCII digits"
+    with pytest.raises(InputError) as err:
+        as_prob(literal)
+    assert str(err.value) == message
+    if literal == literal.strip():  # padding cannot be part of a `.pa` token
+        with pytest.raises(FormatError) as err:
+            parse_pa(B_ONE_DOC.replace("row: s0 a sA 1", f"row: s0 a sA {literal}"))
+        assert (err.value.line, str(err.value)) == (6, f"line 6: {message}")
 
 
 def test_rows_sharing_a_literal_equal_fresh_fractions():

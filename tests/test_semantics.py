@@ -25,7 +25,7 @@ from pasynch import (
     step,
     twin,
 )
-from pasynch.semantics import lasso_stream
+from pasynch.semantics import Kernel, lasso_stream
 from helpers import random_dist, random_pa, random_word, reference_outcome, reference_step
 
 HALF = Fraction(1, 2)
@@ -187,6 +187,26 @@ def test_missing_row_raises_when_mass_reaches_it():
             run(pa, ("a", "a"))
     with pytest.raises(InputError, match=r"^delta incomplete at \(q,a\)$"):
         step(pa, Dist({"p": 0, "q": 1}), "a")
+
+
+def test_step_refuses_user_mass_outside_the_automaton():
+    pa = Pa(("p", "q"), ("a",), {"p": 1}, {("p", "a"): {"q": 1}})
+    for mass in ({"z": 1}, {"p": HALF, "z": HALF}, {"q": HALF, "z": HALF}):
+        # outside mass is refused before the missing row of q is reached
+        with pytest.raises(InputError, match="^unknown state 'z'$"):
+            step(pa, Dist(mass), "a")
+    # an explicit zero there moves nothing
+    assert step(pa, Dist({"z": 0, "p": 1}), "a") == Dist.dirac("q")
+
+
+def test_kernel_is_compiled_once_per_automaton():
+    c = twin(lift(b_half()))
+    k = Kernel.of(c.pa)
+    assert Kernel.of(c.pa) is k
+    outcome(c.pa, ("a", c.dollar))
+    step(c.pa, c.pa.initial, c.hash)
+    assert Kernel.of(c.pa) is k
+    assert Kernel.of(twin(lift(b_half())).pa) is not k
 
 
 def test_row_target_outside_states_raises_on_the_next_step():
