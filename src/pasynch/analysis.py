@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (
@@ -113,23 +114,34 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     its length that reached it, and only that word is extended. Equal
     pairs have equal futures, and the first word's extensions come first
     in shortlex order, so every word skipped has an earlier yielded word
-    with the same probability. Layers are built only below `max_len`.
+    with the same probability.
+
+    A word `u·a` is scored from its parent's pair `(v, D)` alone, as
+    `(<v, w_a>, D * L_a)` with `Kernel.weights`; only layers below
+    `max_len` are stepped, to build the next layer. So:
+
+    - the yielded pairs are not in lowest terms; compare them by
+      cross-multiplication, never by equality of parts;
+    - `pa` must be valid. Scoring skips the checks that `Kernel.advance`
+      makes on malformed rows, which a validated automaton never fails.
     """
     k = Kernel.of(pa)
-    accepting = k.accepting
     n = len(pa.alphabet)
+    weights = [k.weights(a) for a in pa.alphabet]
     layer = {k.start: 0}
-    yield 0, sum(map(k.start[0].__getitem__, accepting)), k.start[1]
+    yield 0, sum(map(k.start[0].__getitem__, k.accepting)), k.start[1]
     offset, width = 0, 1  # rank of the first word of a length, and their number
     for length in range(1, max_len + 1):
         offset, width, nxt = offset + width, width * n, {}
-        for pair, index in layer.items():
-            for j, a in enumerate(pa.alphabet):
-                v, den = reached = k.advance(pair, a)
-                if length < max_len:
-                    nxt.setdefault(reached, index * n + j)
-                yield offset + index * n + j, sum(map(v.__getitem__, accepting)), den
-        layer = nxt
+        for (v, den), index in layer.items():
+            rank = offset + index * n
+            for j, (w, den_a) in enumerate(weights):
+                yield rank + j, sum(map(mul, v, w)), den * den_a
+        if length < max_len:
+            for pair, index in layer.items():
+                for j, a in enumerate(pa.alphabet):
+                    nxt.setdefault(k.advance(pair, a), index * n + j)
+            layer = nxt
 
 
 def _word_at(alphabet: Sequence[str], rank: int) -> Word:
@@ -264,16 +276,19 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
 
 
 def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
-    """Without the commit letter, no step ever concentrates beyond 1/2."""
+    """Without the commit letter, no step ever concentrates beyond 1/2.
+
+    The walk stops at the first step past 1/2, compared in integers."""
     word = tuple(w)
     for i, a in enumerate(word):
         if a == c.dollar:
             raise InputError(f"commit letter {a!r} at position {i} not allowed here")
         if a not in c.pa.letter_set:
             raise InputError(f"unknown letter {a!r} at position {i}")
-    for i, norm in enumerate([Kernel.norm(pair) for pair in Kernel.of(c.pa).walk(word)]):
-        if norm > HALF:
-            return CheckResult(False, f"step {i}: norm {norm} exceeds 1/2")
+    for i, pair in enumerate(Kernel.of(c.pa).walk(word)):
+        v, den = pair
+        if 2 * max(v, default=0) > den:
+            return CheckResult(False, f"step {i}: norm {Kernel.norm(pair)} exceeds 1/2")
     return CheckResult(True)
 
 

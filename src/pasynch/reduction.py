@@ -27,6 +27,7 @@ numeric suffix is appended if an input automaton already uses the name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from .core import (
@@ -58,7 +59,12 @@ class Value1Instance:
     accepts any initial distribution; `lift` works unchanged on such
     instances, but the resulting automaton cannot be twinned (the reset
     letter needs a designated start pair).
+
+    Instances are immutable, like `Pa`: the searches rely on `pa` being
+    the automaton that was validated here.
     """
+
+    __slots__ = ("pa", "q0")
 
     def __init__(self, pa: Pa, *, require_dirac: bool = True):
         pa.require_valid()
@@ -66,14 +72,24 @@ class Value1Instance:
             raise InputError("instance needs a nonempty accepting set")
         supp = pa.initial.support()
         if len(supp) == 1:
-            self.q0: str | None = next(iter(supp))
+            q0: str | None = next(iter(supp))
         elif require_dirac:
             raise InputError(
                 "initial distribution must be concentrated on a single state "
                 "(pass require_dirac=False to relax)")
         else:
-            self.q0 = None
-        self.pa = pa
+            q0 = None
+        object.__setattr__(self, "pa", pa)
+        object.__setattr__(self, "q0", q0)
+
+    def _frozen(self, name: str, value: object = None):
+        raise AttributeError(f"Value1Instance is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):
+        # rebuilt, and so re-validated, from its automaton
+        return partial(Value1Instance, require_dirac=self.q0 is not None), (self.pa,)
 
     def __repr__(self):
         return f"Value1Instance({self.pa!r}, q0={self.q0!r})"

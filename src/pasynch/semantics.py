@@ -36,6 +36,10 @@ class Kernel:
     `den *= L_a` and one `gcd(den, *v)` reduction. `start` is the initial
     pair and `accepting` the accepting states' indices. `Kernel.of`
     compiles each (immutable) `Pa` once, on first use.
+
+    Acceptance after one more letter is linear in the pair (Tzeng, 1992):
+    `weights(a)` gives `(w_a, L_a)` with `P(d·a) = <v, w_a> / (D * L_a)`
+    for `d = v / D`, so a word can be scored without being stepped.
     """
 
     __slots__ = ("names", "start", "accepting", "_index", "_letters")
@@ -118,6 +122,16 @@ class Kernel:
         if top > den:  # a row summing past 1 on a malformed automaton
             raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
         return tuple(new), den
+
+    def weights(self, letter: str) -> tuple[tuple[int, ...], int]:
+        """`(w_a, L_a)`: `w_a[i]` is the mass state `i` sends into the
+        accepting states on `letter`, as a numerator over `L_a`."""
+        den_a, columns, _ = self._letters[letter]
+        w = [0] * len(self.names)
+        for j in self.accepting:
+            for i, num in zip(*columns[j]):
+                w[i] += num
+        return tuple(w), den_a
 
     def walk(self, word: Iterable[str]) -> Iterator[Ints]:
         """The pair at every step of `word`, from the start distribution on."""

@@ -6,6 +6,7 @@ import pytest
 
 from pasynch import (
     BudgetExceededError,
+    CheckResult,
     Dist,
     InputError,
     Pa,
@@ -22,8 +23,10 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from pasynch.analysis import _shortlex_scan
+from pasynch.analysis import _shortlex_scan, _word_at
+from pasynch.semantics import Kernel
 from helpers import (
+    random_dist,
     random_pa,
     random_value1_instance,
     random_word,
@@ -201,6 +204,50 @@ class TestSharedScan:
             assert result == reference_schedule(b, k, 3)
             assert result.words == (("a", "a"),) * k and result.explored == 4
 
+    def test_scores_equal_the_matrix_oracle(self):
+        # every yielded score is the oracle's probability of the word at
+        # its rank, and both searches equal the brute-force references
+        rng = random.Random(41)
+        for letters in (("a",), ("a", "b"), ("a", "b", "c")):
+            for max_len in range(7):
+                states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
+                delta = {(q, a): random_dist(rng, states) for q in states for a in letters}
+                accepting = rng.sample(states, rng.randint(1, len(states)))
+                b = Value1Instance(Pa(states, letters, {"q0": 1}, delta, accepting))
+                scored = scored_shortlex(b.pa, max_len)
+                ranks = []
+                for rank, num, den in _shortlex_scan(b.pa, max_len):
+                    word, p = scored[rank]
+                    assert _word_at(b.pa.alphabet, rank) == word
+                    assert Fraction(num, den) == p
+                    ranks.append(rank)
+                assert ranks == sorted(set(ranks)) and ranks[0] == 0
+                assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
+                for k in (1, 3, 5):
+                    assert (witness_schedule_search(b, k, max_len)
+                            == reference_schedule(b, k, max_len, scored))
+
+    def test_last_layer_is_scored_not_stepped(self, monkeypatch):
+        # state t holds x = 4^-|w| + the word read as base-4 digits 0, 1, 2,
+        # so all 3^l words of length l reach distinct distributions
+        letters = ("a", "b", "c")
+        delta = {}
+        for j, a in enumerate(letters):
+            delta[("s", a)] = {"s": Fraction(4 - j, 4), "t": Fraction(j, 4)}
+            delta[("t", a)] = {"s": Fraction(3 - j, 4), "t": Fraction(1 + j, 4)}
+        b = Value1Instance(Pa(("s", "t"), letters, {"t": 1}, delta, accepting=("t",)))
+        advance = Kernel.advance
+        for max_len in range(6):
+            calls = []
+            monkeypatch.setattr(Kernel, "advance",
+                                lambda k, pair, a: calls.append(a) or advance(k, pair, a))
+            ranks = [rank for rank, _, _ in _shortlex_scan(b.pa, max_len)]
+            monkeypatch.undo()
+            assert ranks == list(range((3 ** (max_len + 1) - 1) // 2))
+            # one step per word of length 1 .. max_len - 1: layer size times
+            # |alphabet| for each layer below max_len - 1
+            assert len(calls) == sum(3 ** length * 3 for length in range(max_len - 1))
+
     def test_one_letter_sweep_at_large_max_len(self):
         result = bounded_value_search(b_half(), 50_000)
         assert result.best_word == ("a",) and result.best_prob == HALF
@@ -297,6 +344,40 @@ class TestHalfBound:
         c = twin(lift(b_one()))
         with pytest.raises(InputError, match="commit letter"):
             half_bound_check(c, (c.dollar,))
+
+    def test_matches_the_oracle_on_corrupted_twins(self):
+        # the verdict and message of checking every step's Fraction norm,
+        # on twins where some pairs' rows on one letter are replaced by a
+        # distribution on at most three states
+        rng = random.Random(43)
+        verdicts = set()
+        for _ in range(60):
+            c = twin(lift(random_value1_instance(rng, max_states=4, max_letters=2)))
+            letter = rng.choice(c.lifted_alphabet[:-1] + (c.hash,))
+            row = random_dist(rng, rng.sample(c.pa.states, rng.randint(1, 3)))
+            for q in rng.sample(sorted(c.twin_of), rng.randint(1, len(c.twin_of))):
+                c = corrupted(corrupted(c, q, letter, row), c.twin_of[q], letter, row)
+            letters = tuple(a for a in c.pa.alphabet if a != c.dollar)
+            for _ in range(5):
+                w = random_word(rng, letters, 8)
+                want = CheckResult(True)
+                for i, d in enumerate(matrix_oracle(c.pa, w)):
+                    if d.norm() > HALF:
+                        want = CheckResult(False, f"step {i}: norm {d.norm()} exceeds 1/2")
+                        break
+                assert half_bound_check(c, w) == want
+                verdicts.add(want.ok)
+        assert verdicts == {True, False}
+
+    def test_stops_at_the_first_step_past_half(self):
+        # the reset rows send all mass to a name outside the states, and
+        # stepping out of it is an input error; the walk stops before that
+        c = twin(lift(b_one()))
+        bad = corrupted(corrupted(c, c.q0, c.hash, {"z": 1}), c.q0_hat, c.hash, {"z": 1})
+        result = half_bound_check(bad, (c.hash, "a", "a"))
+        assert result == CheckResult(False, "step 1: norm 1 exceeds 1/2")
+        with pytest.raises(InputError, match="unknown state 'z'"):
+            outcome(bad.pa, (c.hash, "a"))
 
     def test_detects_broken_reset(self):
         c = twin(lift(b_one()))

@@ -1,4 +1,6 @@
 """Lift and twin constructions plus the exact checkers."""
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -125,6 +127,35 @@ class TestLift:
                 accepting=("s0",))
         with pytest.raises(InputError):
             Value1Instance(pa)
+
+
+class TestImmutableInstance:
+    @pytest.mark.parametrize("name", ("pa", "q0", "extra"))
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        b = b_half()
+        unvalidated = Pa(("s0",), ("a",), {"s0": 1}, {("s0", "a"): {"s0": "1/2"}},
+                         accepting=("s0",))
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(b, name, unvalidated)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(b, name)
+        assert b.pa == b_half().pa and b.q0 == "s0"
+
+    @pytest.mark.parametrize("clone", (
+        copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b)),
+    ), ids=("copy", "deepcopy", "pickle"))
+    @pytest.mark.parametrize("source", ("dirac", "relaxed"))
+    def test_copies_round_trip_equal_and_immutable(self, clone, source):
+        if source == "dirac":
+            b = b_one()
+        else:
+            b = Value1Instance(twin(lift(b_half())).pa, require_dirac=False)
+        other = clone(b)
+        assert other is not b
+        assert (other.pa, other.q0) == (b.pa, b.q0)
+        assert repr(other) == repr(b)
+        with pytest.raises(AttributeError, match="immutable"):
+            other.pa = b_half().pa
 
 
 class TestTwin:
