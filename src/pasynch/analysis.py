@@ -279,12 +279,7 @@ def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
     """Without the commit letter, no step ever concentrates beyond 1/2.
 
     The walk stops at the first step past 1/2, compared in integers."""
-    word = tuple(w)
-    for i, a in enumerate(word):
-        if a == c.dollar:
-            raise InputError(f"commit letter {a!r} at position {i} not allowed here")
-        if a not in c.pa.letter_set:
-            raise InputError(f"unknown letter {a!r} at position {i}")
+    word = c.pa.check_word(w, {c.dollar: "commit"})
     for i, pair in enumerate(Kernel.of(c.pa).walk(word)):
         v, den = pair
         if 2 * max(v, default=0) > den:

@@ -46,19 +46,15 @@ def _parse_schedule(text: str) -> list[Word]:
     return [_parse_word(part) for part in text.split(",")]
 
 
-def _pa_of(obj: Pa | LiftedPa | TwinPa) -> Pa:
-    return obj.pa if isinstance(obj, (LiftedPa, TwinPa)) else obj
-
-
-def _require_twin(obj: Pa | LiftedPa | TwinPa, path: str) -> TwinPa:
-    if not isinstance(obj, TwinPa):
-        raise InputError(f"{path} carries no twin metadata block")
-    return obj
-
-
-def _require_lifted(obj: Pa | LiftedPa | TwinPa, path: str) -> LiftedPa:
-    if not isinstance(obj, LiftedPa):
-        raise InputError(f"{path} carries no lift metadata block")
+def _load(path: str, kind: type = Pa, **kw):
+    """The automaton in `path` as `kind`: any file gives its `Pa`, and only a
+    file with that metadata block gives a `LiftedPa` or `TwinPa`."""
+    obj = load_pa(path, **kw)
+    if kind is Pa:
+        return obj if isinstance(obj, Pa) else obj.pa
+    if not isinstance(obj, kind):
+        block = "twin" if kind is TwinPa else "lift"
+        raise InputError(f"{path} carries no {block} metadata block")
     return obj
 
 
@@ -83,8 +79,7 @@ def _report(result) -> int:
 
 
 def _cmd_validate(args) -> int:
-    obj = load_pa(args.file, require_valid=False)
-    report = _pa_of(obj).validate()
+    report = _load(args.file, require_valid=False).validate()
     if report.ok:
         print("ok")
         return 0
@@ -94,7 +89,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    pa = _pa_of(load_pa(args.file))
+    pa = _load(args.file)
     final = outcome(pa, _parse_word(args.word))[-1]
     for q in pa.states:
         p = final.mass(q)
@@ -104,49 +99,49 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    pa = _pa_of(load_pa(args.file))
+    pa = _load(args.file)
     print(acceptance_probability(pa, _parse_word(args.word)))
     return 0
 
 
 def _cmd_trace(args) -> int:
-    pa = _pa_of(load_pa(args.file))
+    pa = _load(args.file)
     _emit_trace(pa, trace_stream(pa, _parse_word(args.word)), args.csv)
     return 0
 
 
 def _cmd_lasso(args) -> int:
-    pa = _pa_of(load_pa(args.file))
+    pa = _load(args.file)
     trace = lasso_stream(pa, _parse_word(args.stem), _parse_word(args.loop), args.reps)
     _emit_trace(pa, trace, args.csv)
     return 0
 
 
 def _cmd_lift(args) -> int:
-    instance = Value1Instance(_pa_of(load_pa(args.file)))
+    instance = Value1Instance(_load(args.file))
     save_pa(lift(instance), args.output)
     return 0
 
 
 def _cmd_twin(args) -> int:
-    lifted = _require_lifted(load_pa(args.file), args.file)
+    lifted = _load(args.file, LiftedPa)
     save_pa(twin(lifted), args.output)
     return 0
 
 
 def _cmd_check_p1(args) -> int:
-    c = _require_twin(load_pa(args.file), args.file)
+    c = _load(args.file, TwinPa)
     return _report(check_p1(c, _parse_word(args.v1), _parse_word(args.v2)))
 
 
 def _cmd_check_p2(args) -> int:
-    lifted = _require_lifted(load_pa(args.lifted), args.lifted)
-    c = _require_twin(load_pa(args.twin), args.twin)
+    lifted = _load(args.lifted, LiftedPa)
+    c = _load(args.twin, TwinPa)
     return _report(check_p2(lifted, c, _parse_word(args.word)))
 
 
 def _cmd_search(args) -> int:
-    instance = Value1Instance(_pa_of(load_pa(args.file)))
+    instance = Value1Instance(_load(args.file))
     result = bounded_value_search(instance, args.max_len, budget=args.budget)
     print(f"word: {_format_word(result.best_word)}")
     print(f"prob: {result.best_prob}")
@@ -156,7 +151,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    instance = Value1Instance(_pa_of(load_pa(args.file)))
+    instance = Value1Instance(_load(args.file))
     result = witness_schedule_search(instance, args.k, args.max_len, budget=args.budget)
     for i, word in enumerate(result.words, start=1):
         print(f"u{i}: {_format_word(word)}")
@@ -170,7 +165,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    c = _require_twin(load_pa(args.file), args.file)
+    c = _load(args.file, TwinPa)
     cert = certificate_check(c, _parse_schedule(args.schedule))
     for i, (pos, norm, threshold) in enumerate(
             zip(cert.checkpoints, cert.norms, cert.thresholds), start=1):
@@ -181,12 +176,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_absorb(args) -> int:
-    c = _require_twin(load_pa(args.file), args.file)
+    c = _load(args.file, TwinPa)
     return _report(dollar_absorption_check(c, _parse_word(args.prefix), args.horizon))
 
 
 def _cmd_halfbound(args) -> int:
-    c = _require_twin(load_pa(args.file), args.file)
+    c = _load(args.file, TwinPa)
     return _report(half_bound_check(c, _parse_word(args.word)))
 
 

@@ -22,6 +22,7 @@ HALF = Fraction(1, 2)
 
 # the only probability literals: ASCII digits, optionally over ASCII digits
 _LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+_NO_ROLES: Mapping[str, str] = MappingProxyType({})
 
 
 class PaError(Exception):
@@ -252,10 +253,14 @@ class Pa:
                 out |= self.post(q, a)
         return frozenset(out)
 
-    def check_word(self, word: Sequence[str]) -> Word:
-        """Normalize a word to a tuple, rejecting letters outside the alphabet."""
+    def check_word(self, word: Sequence[str], forbid: Mapping[str, str] = _NO_ROLES) -> Word:
+        """Normalize a word to a tuple, rejecting letters outside the alphabet
+        and letters that `forbid` maps to a role name, such as "commit"; at
+        each position a forbidden letter is reported first."""
         w = tuple(word)
         for i, a in enumerate(w):
+            if a in forbid:
+                raise InputError(f"{forbid[a]} letter {a!r} at position {i} not allowed here")
             if a not in self.letter_set:
                 raise InputError(f"unknown letter {a!r} at position {i}")
         return w

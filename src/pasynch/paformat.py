@@ -41,10 +41,15 @@ from .core import Dist, InputError, Pa, as_prob
 from .reduction import LiftedPa, TwinPa
 from .semantics import NormTrace, TraceStream
 
-_LIFT_KEYS = ("lift.qf", "lift.qn", "lift.dollar", "lift.source")
-_TWIN_KEYS = ("twin.hash", "twin.q0", "twin.q0hat", "twin.qf", "twin.qn", "twin.dollar")
-_SINGLE_KEYS = {"format", "states", "letters", "initial", "accepting", *_LIFT_KEYS, *_TWIN_KEYS}
-_REPEATED_KEYS = {"row", "twin.pair"}
+# metadata key -> the block class and field it fills, in serialized order; every
+# key holds one token except `lift.source`, and `twin_of` comes from `twin.pair` lines
+_ROLES = {
+    "lift.qf": (LiftedPa, "q_f"), "lift.qn": (LiftedPa, "q_n"),
+    "lift.dollar": (LiftedPa, "dollar"), "lift.source": (LiftedPa, "source_states"),
+    "twin.hash": (TwinPa, "hash"), "twin.q0": (TwinPa, "q0"), "twin.q0hat": (TwinPa, "q0_hat"),
+    "twin.qf": (TwinPa, "q_f"), "twin.qn": (TwinPa, "q_n"), "twin.dollar": (TwinPa, "dollar"),
+}
+_SINGLE_KEYS = {"format", "states", "letters", "initial", "accepting", *_ROLES}
 
 
 class FormatError(InputError):
@@ -147,24 +152,21 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
     if require_valid:
         pa.require_valid()
 
-    has_lift = any(k in singles for k in _LIFT_KEYS)
-    has_twin = any(k in singles for k in _TWIN_KEYS) or pairs
-    if has_lift and has_twin:
+    kinds = {_ROLES[key][0] for key in singles if key in _ROLES} | ({TwinPa} if pairs else set())
+    if len(kinds) > 1:
         raise FormatError("a document cannot carry both lift and twin metadata")
-
-    def single_token(key: str) -> str:
-        tokens, lineno = singles[key]
-        if len(tokens) != 1:
-            raise FormatError(f"{key} needs exactly one token", lineno)
-        return tokens[0]
-
-    if has_twin:
-        for key in _TWIN_KEYS:
-            if key not in singles:
-                raise FormatError(f"twin metadata incomplete: missing {key!r}")
+    if not kinds:
+        return pa
+    kind = kinds.pop()
+    roles = [(key, field) for key, (owner, field) in _ROLES.items() if owner is kind]
+    for key, _ in roles:
+        if key not in singles:
+            raise FormatError(f"{key.split('.')[0]} metadata incomplete: missing {key!r}")
+    fields: dict[str, object] = {}
+    if kind is TwinPa:
         if not pairs:
             raise FormatError("twin metadata incomplete: no twin.pair lines")
-        twin_of: dict[str, str] = {}
+        fields["twin_of"] = twin_of = {}
         hats_seen: set[str] = set()
         for tokens, lineno in pairs:
             if len(tokens) != 2:
@@ -174,28 +176,15 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
                 raise FormatError(f"duplicate twin.pair entry for {orig!r}/{hat!r}", lineno)
             twin_of[orig] = hat
             hats_seen.add(hat)
-        return TwinPa(
-            pa=pa,
-            twin_of=twin_of,
-            hash=single_token("twin.hash"),
-            q0=single_token("twin.q0"),
-            q0_hat=single_token("twin.q0hat"),
-            q_f=single_token("twin.qf"),
-            q_n=single_token("twin.qn"),
-            dollar=single_token("twin.dollar"),
-        )
-    if has_lift:
-        for key in _LIFT_KEYS:
-            if key not in singles:
-                raise FormatError(f"lift metadata incomplete: missing {key!r}")
-        return LiftedPa(
-            pa=pa,
-            q_f=single_token("lift.qf"),
-            q_n=single_token("lift.qn"),
-            dollar=single_token("lift.dollar"),
-            source_states=frozenset(singles["lift.source"][0]),
-        )
-    return pa
+    for key, field in roles:
+        tokens, lineno = singles[key]
+        if key == "lift.source":
+            fields[field] = frozenset(tokens)
+        elif len(tokens) != 1:
+            raise FormatError(f"{key} needs exactly one token", lineno)
+        else:
+            fields[field] = tokens[0]
+    return kind(pa=pa, **fields)
 
 
 def _check_token(name: str, what: str) -> str:
@@ -217,13 +206,7 @@ def _mass_tokens(dist: Dist, order: Sequence[str]) -> str:
 def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:
     """Serialize deterministically: declared order everywhere, zero masses
     dropped, probabilities in lowest terms. Round-trips through `parse_pa`."""
-    if isinstance(obj, TwinPa):
-        pa, lifted, twinned = obj.pa, None, obj
-    elif isinstance(obj, LiftedPa):
-        pa, lifted, twinned = obj.pa, obj, None
-    else:
-        pa, lifted, twinned = obj, None, None
-
+    pa = obj if isinstance(obj, Pa) else obj.pa
     pa.require_valid()
     for q in pa.states:
         _check_token(q, "state name")
@@ -238,22 +221,14 @@ def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:
     for q in pa.states:
         for a in pa.alphabet:
             lines.append(f"row: {q} {a} " + _mass_tokens(pa.delta[(q, a)], pa.states))
-    if lifted is not None:
-        lines.append(f"lift.qf: {lifted.q_f}")
-        lines.append(f"lift.qn: {lifted.q_n}")
-        lines.append(f"lift.dollar: {lifted.dollar}")
-        source = [q for q in pa.states if q in lifted.source_states]
-        lines.append("lift.source: " + " ".join(source))
-    if twinned is not None:
-        lines.append(f"twin.hash: {twinned.hash}")
-        lines.append(f"twin.q0: {twinned.q0}")
-        lines.append(f"twin.q0hat: {twinned.q0_hat}")
-        lines.append(f"twin.qf: {twinned.q_f}")
-        lines.append(f"twin.qn: {twinned.q_n}")
-        lines.append(f"twin.dollar: {twinned.dollar}")
-        for q in pa.states:
-            if q in twinned.twin_of:
-                lines.append(f"twin.pair: {q} {twinned.twin_of[q]}")
+    for key, (kind, field) in _ROLES.items():
+        if isinstance(obj, kind):
+            value = getattr(obj, field)
+            if key == "lift.source":
+                value = " ".join(q for q in pa.states if q in value)
+            lines.append(f"{key}: {value}")
+    if isinstance(obj, TwinPa):
+        lines.extend(f"twin.pair: {q} {obj.twin_of[q]}" for q in pa.states if q in obj.twin_of)
     return "\n".join(lines) + "\n"
 
 

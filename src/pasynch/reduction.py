@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .core import (
@@ -135,6 +136,7 @@ class TwinPa:
     its hat; the success sink `q_f` deliberately has no hat. The commit
     letter and failure sink of the underlying lifted automaton are carried
     along because the absorption and half-bound checkers need them.
+    `twin_of` is a read-only copy of the map it was built from.
     """
 
     pa: Pa
@@ -147,6 +149,7 @@ class TwinPa:
     dollar: str
 
     def __post_init__(self):
+        object.__setattr__(self, "twin_of", MappingProxyType(dict(self.twin_of)))
         originals = set(self.twin_of)
         hats = set(self.twin_of.values())
         if len(hats) != len(originals):
@@ -168,11 +171,10 @@ class TwinPa:
         if self.hash == self.dollar:
             raise InputError("reset and commit letters must differ")
 
-    def hat(self, state: str) -> str:
-        try:
-            return self.twin_of[state]
-        except KeyError:
-            raise InputError(f"state {state!r} has no twin") from None
+    def __reduce__(self):
+        # a read-only map does not pickle; rebuild from a plain copy of it
+        return TwinPa, (self.pa, dict(self.twin_of), self.hash, self.q0, self.q0_hat,
+                        self.q_f, self.q_n, self.dollar)
 
     @property
     def q_n_hat(self) -> str:
@@ -266,25 +268,14 @@ def twin(a: LiftedPa) -> TwinPa:
     delta: dict[tuple[str, str], Dist] = {}
     for sigma in pa.alphabet:
         for q1 in pa.states:
-            if q1 == a.q_f:
-                continue
             acc: dict[str, object] = {}
-            for q2, p in pa.delta[(q1, sigma)].nonzero():
-                if q2 == a.q_f:
-                    acc[q2] = acc.get(q2, ZERO) + p
-                else:
-                    half = HALF * p
-                    acc[q2] = acc.get(q2, ZERO) + half
-                    acc[hat[q2]] = acc.get(hat[q2], ZERO) + half
-            row = Dist(acc)
-            delta[(q1, sigma)] = row
-            delta[(hat[q1], sigma)] = row
-        acc = {}
-        for q2, p in pa.delta[(a.q_f, sigma)].nonzero():
-            half = HALF * p  # q2 != q_f: guaranteed by the sink-row invariant
-            acc[q2] = acc.get(q2, ZERO) + half
-            acc[hat[q2]] = acc.get(hat[q2], ZERO) + half
-        delta[(a.q_f, sigma)] = Dist(acc)
+            for q2, p in pa.delta[(q1, sigma)].nonzero():  # only q_f has no hat
+                pair, share = ((q2, hat[q2]), HALF * p) if q2 in hat else ((q2,), p)
+                for target in pair:
+                    acc[target] = acc.get(target, ZERO) + share
+            delta[(q1, sigma)] = row = Dist(acc)
+            if q1 in hat:
+                delta[(hat[q1], sigma)] = row
     for q in states:
         delta[(q, hash_letter)] = reset
 
@@ -337,14 +328,8 @@ def check_p2(a: LiftedPa, c: TwinPa, w: Sequence[str]) -> CheckResult:
     exactly half of the lifted automaton's mass on that state, and the
     success sink carries zero in both automata. Exact equality.
     """
-    word = tuple(w)
-    for i, sigma in enumerate(word):
-        if sigma == a.dollar:
-            raise InputError(f"commit letter {sigma!r} at position {i} not allowed here")
-        if sigma == c.hash:
-            raise InputError(f"reset letter {sigma!r} at position {i} not allowed here")
-        if sigma not in a.pa.letter_set:
-            raise InputError(f"unknown letter {sigma!r} at position {i}")
+    # commit last: a letter that plays both roles is reported as the commit letter
+    word = a.pa.check_word(w, {c.hash: "reset", a.dollar: "commit"})
     _require_twin_of(a, c)
     run_a = outcome(a.pa, word)
     run_c = outcome(c.pa, word)
@@ -381,16 +366,13 @@ def build_witness_prefix(
     words = [tuple(w) for w in schedule]
     if not words:
         raise InputError("schedule must be nonempty")
-    for k, word in enumerate(words):
+    for k, word in enumerate(words, start=1):
         if not word:
-            raise InputError(f"schedule word {k + 1} is empty")
-        for i, sigma in enumerate(word):
-            if sigma == c.hash:
-                raise InputError(
-                    f"schedule word {k + 1} contains the reset letter at position {i}")
-            if sigma not in c.pa.letter_set:
-                raise InputError(
-                    f"schedule word {k + 1}: unknown letter {sigma!r} at position {i}")
+            raise InputError(f"schedule word {k} is empty")
+        try:
+            c.pa.check_word(word, {c.hash: "reset"})
+        except InputError as exc:
+            raise InputError(f"schedule word {k}: {exc}") from None
     combined: list[str] = []
     checkpoints: list[int] = []
     for k, word in enumerate(words):

@@ -277,6 +277,13 @@ class TestCertificate:
         assert not cert.ok
         assert cert.norms[0] <= HALF
 
+    def test_reset_letter_in_a_schedule_word_rejected(self):
+        c = twin(lift(b_one()))
+        with pytest.raises(InputError) as err:
+            certificate_check(c, [("a", c.dollar), (c.hash, "a")])
+        assert str(err.value) == (
+            "schedule word 2: reset letter '@sym:#' at position 0 not allowed here")
+
 
 class TestDollarAbsorption:
     def test_b_one_prefix(self):
@@ -344,6 +351,9 @@ class TestHalfBound:
         c = twin(lift(b_one()))
         with pytest.raises(InputError, match="commit letter"):
             half_bound_check(c, (c.dollar,))
+        with pytest.raises(InputError) as err:
+            half_bound_check(c, ("a", c.hash, c.dollar))
+        assert str(err.value) == "commit letter '@sym:$' at position 2 not allowed here"
 
     def test_matches_the_oracle_on_corrupted_twins(self):
         # the verdict and message of checking every step's Fraction norm,

@@ -207,6 +207,22 @@ def test_certify_fail(files, capsys):
     assert out.endswith("FAIL\n")
 
 
+def test_certify_rejects_the_reset_letter(files, capsys):
+    assert main(["certify", files["b_one_twin"], "--schedule", "a.@sym:#.a"]) == 2
+    assert capsys.readouterr().err == (
+        "error: schedule word 1: reset letter '@sym:#' at position 1 not allowed here\n")
+
+
+@pytest.mark.parametrize("argv, bad, block", (
+    (["certify", "b_one", "--schedule", "a"], "b_one", "twin"),
+    (["check-p2", "b_one_twin", "b_one_twin", "--word", "a"], "b_one_twin", "lift"),
+    (["check-p2", "b_one_lift", "b_one_lift", "--word", "a"], "b_one_lift", "twin"),
+))
+def test_missing_metadata_block_is_input_error(files, capsys, argv, bad, block):
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {files[bad]} carries no {block} metadata block\n"
+
+
 def test_absorb(files, capsys):
     assert main(["absorb", files["b_one_twin"], "--prefix", "a.@sym:$",
                  "--horizon", "5"]) == 0

@@ -207,6 +207,19 @@ class TestImmutablePa:
             other.delta[("x", "y")] = Dist({"x": 1})
 
 
+class TestCheckWord:
+    def test_forbidden_letter_names_its_role(self):
+        with pytest.raises(InputError) as err:
+            two_state_pa().check_word(("a", "b"), {"b": "reset"})
+        assert str(err.value) == "reset letter 'b' at position 1 not allowed here"
+
+    def test_forbidden_letter_reported_before_the_alphabet(self):
+        # a forbidden letter outside the alphabet is named by its role
+        with pytest.raises(InputError) as err:
+            two_state_pa().check_word(("z",), {"z": "commit"})
+        assert str(err.value) == "commit letter 'z' at position 0 not allowed here"
+
+
 class TestPost:
     def test_deterministic_edge(self):
         assert two_state_pa().post("q0", "a") == {"q1"}

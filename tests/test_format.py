@@ -208,6 +208,36 @@ def test_incomplete_twin_metadata_rejected():
         parse_pa(text)
 
 
+_METADATA_KEYS = ("lift.qf", "lift.qn", "lift.dollar", "lift.source", "twin.hash",
+                  "twin.q0", "twin.q0hat", "twin.qf", "twin.qn", "twin.dollar")
+
+
+def _metadata_lines(key):
+    obj = lift(b_half())
+    if key.startswith("twin."):
+        obj = twin(obj)
+    return serialize_pa(obj).splitlines()
+
+
+@pytest.mark.parametrize("key", _METADATA_KEYS)
+def test_missing_metadata_key_named_exactly(key):
+    text = "".join(line + "\n" for line in _metadata_lines(key)
+                   if not line.startswith(key + ":"))
+    with pytest.raises(FormatError) as err:
+        parse_pa(text)
+    assert str(err.value) == f"{key.split('.')[0]} metadata incomplete: missing {key!r}"
+
+
+@pytest.mark.parametrize("key", [k for k in _METADATA_KEYS if k != "lift.source"])
+def test_single_token_metadata_key_with_two_tokens(key):
+    lines = _metadata_lines(key)
+    n = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+    lines[n] += " extra"
+    with pytest.raises(FormatError) as err:
+        parse_pa("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {n + 1}: {key} needs exactly one token"
+
+
 def test_broken_twin_references_rejected():
     c = twin(lift(b_one()))
     text = serialize_pa(c).replace("twin.qn: @lift:qn", "twin.qn: nosuch")

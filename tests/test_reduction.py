@@ -1,5 +1,6 @@
 """Lift and twin constructions plus the exact checkers."""
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -213,6 +214,36 @@ class TestTwin:
         assert len(set(c.pa.states)) == len(c.pa.states)
 
 
+class TestImmutableTwin:
+    def test_twin_of_is_read_only(self):
+        a = lift(b_half())
+        c = twin(a)
+        with pytest.raises(TypeError):
+            c.twin_of["s0"] = "nosuch"
+        assert c.twin_of["s0"] == c.q0_hat
+        assert check_p2(a, c, ("a",)).ok
+
+    def test_twin_of_is_a_copy_of_the_given_map(self):
+        c = twin(lift(b_half()))
+        pairs = dict(c.twin_of)
+        rebuilt = dataclasses.replace(c, twin_of=pairs)
+        pairs["s0"] = "nosuch"
+        assert rebuilt.twin_of["s0"] == c.q0_hat
+        assert rebuilt == c
+
+    @pytest.mark.parametrize("clone", (
+        copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
+    ), ids=("copy", "deepcopy", "pickle"))
+    def test_copies_round_trip_equal_and_read_only(self, clone):
+        c = twin(lift(b_half()))
+        other = clone(c)
+        assert other == c and other is not c
+        with pytest.raises(TypeError):
+            other.twin_of["s0"] = "nosuch"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            other.q0 = "nosuch"
+
+
 class TestCheckP1:
     def test_empty_words_pass(self):
         c = twin(lift(b_one()))
@@ -266,6 +297,16 @@ class TestCheckP2:
         with pytest.raises(InputError, match="reset letter"):
             check_p2(a, c, (c.hash,))
 
+    @pytest.mark.parametrize("role", ("commit", "reset"))
+    def test_forbidden_letter_messages(self, role):
+        # the reset letter is outside the lifted alphabet, yet named by its role
+        a = lift(b_one())
+        c = twin(a)
+        letter = a.dollar if role == "commit" else c.hash
+        with pytest.raises(InputError) as err:
+            check_p2(a, c, ("a", letter))
+        assert str(err.value) == f"{role} letter {letter!r} at position 1 not allowed here"
+
     def test_detects_broken_pair_split(self):
         a = lift(b_one())
         c = twin(a)
@@ -318,3 +359,13 @@ class TestWitnessPrefix:
             build_witness_prefix(c, [()])
         with pytest.raises(InputError, match="reset letter"):
             build_witness_prefix(c, [("a", c.hash)])
+
+    def test_letter_messages_name_the_schedule_word(self):
+        c = twin(lift(b_one()))
+        with pytest.raises(InputError) as err:
+            build_witness_prefix(c, [("a",), ("a", c.hash)])
+        assert str(err.value) == (
+            "schedule word 2: reset letter '@sym:#' at position 1 not allowed here")
+        with pytest.raises(InputError) as err:
+            build_witness_prefix(c, [("z",)])
+        assert str(err.value) == "schedule word 1: unknown letter 'z' at position 0"
