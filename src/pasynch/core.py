@@ -105,6 +105,15 @@ class Dist:
         d._ints = (names, nums, den, norm)
         return d
 
+    @classmethod
+    def _trusted(cls, mass: dict[str, Fraction]) -> "Dist":
+        """`mass` kept as it is: the caller has already checked that every
+        name is a non-empty string and every value a `Fraction` in [0, 1],
+        and hands over a map that nothing else holds."""
+        d = cls.__new__(cls)
+        d._mass = mass
+        return d
+
     def __getattr__(self, name: str):
         # only reached while the `_mass` slot of a `_from_ints` distribution is unset
         if name != "_mass":
@@ -140,11 +149,15 @@ class Dist:
         """Largest single-state mass (0 for an all-zero assignment)."""
         return max(self._mass.values(), default=ZERO)
 
-    def total(self) -> Fraction:
-        # one Fraction over the common denominator, not one per addition
+    def _total_ints(self) -> tuple[int, int]:
+        """`(n, L)`: the total mass is `n / L`, `L` the lcm of the denominators."""
         masses = self._mass.values()
         den = math.lcm(*(p.denominator for p in masses))
-        return Fraction(sum(p.numerator * (den // p.denominator) for p in masses), den)
+        return sum(p.numerator * (den // p.denominator) for p in masses), den
+
+    def total(self) -> Fraction:
+        # one Fraction over the common denominator, not one per addition
+        return Fraction(*self._total_ints())
 
     def is_valid(self) -> bool:
         return self.total() == ONE
@@ -266,7 +279,11 @@ class Pa:
         return w
 
     def validate(self) -> ValidationReport:
-        """Every invariant violation, not just the first; computed once, then kept."""
+        """Every invariant violation, not just the first; computed once, then kept.
+
+        Each distinct row object is checked once, however many keys share
+        it, and its sum is one integer comparison over the lcm of its
+        denominators; a `Fraction` total is built only for a violation."""
         if self._report is not None:
             return self._report
         v: list[str] = []
@@ -285,11 +302,15 @@ class Pa:
                 v.append(f"duplicate letter {a!r}")
             seen.add(a)
 
-        for state, _ in self.initial.items():
-            if state not in self.state_set:
-                v.append(f"initial mass on unknown state {state!r}")
-        total = self.initial.total()
-        if total != ONE:
+        def verdict(d: Dist) -> tuple[list[str], Fraction | None]:
+            # (targets outside the states, the total if it is not exactly 1)
+            num, den = d._total_ints()
+            return ([q for q, _ in d.items() if q not in self.state_set],
+                    None if num == den else Fraction(num, den))
+
+        unknown, total = verdict(self.initial)
+        v.extend(f"initial mass on unknown state {q!r}" for q in unknown)
+        if total is not None:
             v.append(f"initial distribution sums to {total}")
 
         for (q, a) in self.delta:
@@ -297,17 +318,20 @@ class Pa:
                 v.append(f"delta row for unknown state {q!r}")
             elif a not in self.letter_set:
                 v.append(f"delta row for unknown letter {a!r}")
+        verdicts: dict[int, tuple[list[str], Fraction | None]] = {}  # id(row) -> verdict
         for q in self.states:
             for a in self.alphabet:
                 row = self.delta.get((q, a))
                 if row is None:
                     v.append(f"delta incomplete at ({q},{a})")
                     continue
-                for target, _ in row.items():
-                    if target not in self.state_set:
-                        v.append(f"row ({q},{a}) targets unknown state {target!r}")
-                total = row.total()
-                if total != ONE:
+                found = verdicts.get(id(row))
+                if found is None:
+                    found = verdicts[id(row)] = verdict(row)
+                unknown, total = found
+                if unknown:
+                    v.extend(f"row ({q},{a}) targets unknown state {t!r}" for t in unknown)
+                if total is not None:
                     v.append(f"row ({q},{a}) sums to {total}")
 
         for q in self.accepting:

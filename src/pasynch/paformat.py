@@ -135,18 +135,27 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
     if len(set(letter_tokens)) != len(letter_tokens):
         raise FormatError("duplicate letters", letter_line)
 
+    # every value has passed `as_prob` and every name is a non-empty token,
+    # so the distributions are built trusted; one per distinct row body
     parsed: dict[str, Fraction] = {}  # literal text -> value, for this document only
-    initial = _mass_pairs(*singles["initial"], what="initial distribution", parsed=parsed)
+    initial = Dist._trusted(
+        _mass_pairs(*singles["initial"], what="initial distribution", parsed=parsed))
     accepting = singles["accepting"][0]
 
     delta: dict[tuple[str, str], Dist] = {}
+    bodies: dict[tuple[str, ...], Dist] = {}  # row tokens after STATE LETTER -> shared row
     for tokens, lineno in rows:
         if len(tokens) < 4:
             raise FormatError("row needs STATE LETTER and at least one target pair", lineno)
         state, letter = tokens[0], tokens[1]
         if (state, letter) in delta:
             raise FormatError(f"duplicate row for ({state},{letter})", lineno)
-        delta[(state, letter)] = Dist(_mass_pairs(tokens[2:], lineno, what="row", parsed=parsed))
+        body = tuple(tokens[2:])
+        row = bodies.get(body)
+        if row is None:
+            row = bodies[body] = Dist._trusted(
+                _mass_pairs(tokens[2:], lineno, what="row", parsed=parsed))
+        delta[(state, letter)] = row
 
     pa = Pa(state_tokens, letter_tokens, initial, delta, accepting)
     if require_valid:
@@ -218,9 +227,14 @@ def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:
     lines.append(("letters: " + " ".join(pa.alphabet)).rstrip())
     lines.append("initial: " + _mass_tokens(pa.initial, pa.states))
     lines.append(("accepting: " + " ".join(q for q in pa.states if q in pa.accepting)).rstrip())
+    rendered: dict[int, str] = {}  # id(row) -> its tokens, each shared row rendered once
     for q in pa.states:
         for a in pa.alphabet:
-            lines.append(f"row: {q} {a} " + _mass_tokens(pa.delta[(q, a)], pa.states))
+            row = pa.delta[(q, a)]
+            body = rendered.get(id(row))
+            if body is None:
+                body = rendered[id(row)] = _mass_tokens(row, pa.states)
+            lines.append(f"row: {q} {a} {body}")
     for key, (kind, field) in _ROLES.items():
         if isinstance(obj, kind):
             value = getattr(obj, field)

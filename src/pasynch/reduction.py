@@ -27,6 +27,7 @@ numeric suffix is appended if an input automaton already uses the name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -39,9 +40,8 @@ from .core import (
     ONE,
     Pa,
     Word,
-    ZERO,
 )
-from .semantics import outcome
+from .semantics import Kernel
 
 
 def _fresh(base: str, taken: set[str] | frozenset[str]) -> str:
@@ -98,7 +98,10 @@ class Value1Instance:
 
 @dataclass(frozen=True)
 class LiftedPa:
-    """A lifted automaton plus the roles the construction assigned."""
+    """A lifted automaton plus the roles the construction assigned.
+
+    `source_states` is a frozen copy of the set it was built from.
+    """
 
     pa: Pa
     q_f: str
@@ -107,6 +110,7 @@ class LiftedPa:
     source_states: frozenset[str]
 
     def __post_init__(self):
+        object.__setattr__(self, "source_states", frozenset(self.source_states))
         # structural reference checks only; row-level invariants are
         # verified by `twin` so that corrupted fixtures stay constructible
         if self.q_f not in self.pa.state_set:
@@ -263,17 +267,19 @@ def twin(a: LiftedPa) -> TwinPa:
 
     states = pa.states + tuple(hat[q] for q in pa.states if q != a.q_f)
     alphabet = pa.alphabet + (hash_letter,)
-    reset = Dist({q0: HALF, hat[q0]: HALF})
+    # every value below is p/2 or p for a mass p of a validated row, and
+    # every target a distinct state name, so the rows are built trusted
+    reset = Dist._trusted({q0: HALF, hat[q0]: HALF})
 
     delta: dict[tuple[str, str], Dist] = {}
     for sigma in pa.alphabet:
         for q1 in pa.states:
-            acc: dict[str, object] = {}
+            acc: dict[str, Fraction] = {}
             for q2, p in pa.delta[(q1, sigma)].nonzero():  # only q_f has no hat
                 pair, share = ((q2, hat[q2]), HALF * p) if q2 in hat else ((q2,), p)
                 for target in pair:
-                    acc[target] = acc.get(target, ZERO) + share
-            delta[(q1, sigma)] = row = Dist(acc)
+                    acc[target] = share
+            delta[(q1, sigma)] = row = Dist._trusted(acc)
             if q1 in hat:
                 delta[(hat[q1], sigma)] = row
     for q in states:
@@ -296,19 +302,25 @@ def check_p1(c: TwinPa, v1: Sequence[str], v2: Sequence[str]) -> CheckResult:
     """Reset replay: the run after `v1·reset` equals the run of `v2` from scratch.
 
     Compares every state's mass at every step 0..|v2|, exactly. Reports
-    the first violating (step, state) pair.
+    the first violating (step, state) pair. Both runs are walked in full
+    on the automaton's kernel and compared as integer pairs, which come
+    from one kernel in lowest terms and so are equal exactly when the
+    masses are; `Dist`s are built only to word a failure.
     """
     w1 = c.pa.check_word(v1)
     w2 = c.pa.check_word(v2)
-    full = outcome(c.pa, w1 + (c.hash,) + w2)
-    fresh_run = outcome(c.pa, w2)
+    k = Kernel.of(c.pa)
+    full = list(k.walk(w1 + (c.hash,) + w2))
+    fresh_run = list(k.walk(w2))
     offset = len(w1) + 1
-    for i in range(len(w2) + 1):
+    for i, pair in enumerate(fresh_run):
+        if full[offset + i] == pair:
+            continue
+        # the pairs may differ only on names outside the states
+        lhs, rhs = k.dist(full[offset + i]), k.dist(pair)
         for q in c.pa.states:
-            lhs = full[offset + i].mass(q)
-            rhs = fresh_run[i].mass(q)
-            if lhs != rhs:
-                return CheckResult(False, f"step {i}, state {q}: {lhs} != {rhs}")
+            if lhs.mass(q) != rhs.mass(q):
+                return CheckResult(False, f"step {i}, state {q}: {lhs.mass(q)} != {rhs.mass(q)}")
     return CheckResult(True)
 
 
@@ -326,31 +338,35 @@ def check_p2(a: LiftedPa, c: TwinPa, w: Sequence[str]) -> CheckResult:
 
     At every step 0..|w|: each original state and its hat both carry
     exactly half of the lifted automaton's mass on that state, and the
-    success sink carries zero in both automata. Exact equality.
+    success sink carries zero in both automata. Exact equality, checked
+    on the two kernels' integer pairs: with the lifted pair `(va, Da)`
+    and the twinned pair `(vc, Dc)`, state `q` at index `i` and its
+    copies at `j` pass when `2·Da·vc[j] == va[i]·Dc`. Both runs are
+    walked in full first, and `Fraction`s are built only to word a failure.
     """
     # commit last: a letter that plays both roles is reported as the commit letter
     word = a.pa.check_word(w, {c.hash: "reset", a.dollar: "commit"})
     _require_twin_of(a, c)
-    run_a = outcome(a.pa, word)
-    run_c = outcome(c.pa, word)
-    for i in range(len(word) + 1):
-        da, dc = run_a[i], run_c[i]
-        if da.mass(a.q_f) != ZERO or dc.mass(a.q_f) != ZERO:
+    run_a = list(Kernel.of(a.pa).walk(word))
+    run_c = list(Kernel.of(c.pa).walk(word))
+    # a kernel lists its automaton's states first, in declared order
+    at = {q: j for j, q in enumerate(c.pa.states)}
+    sink_a, sink_c = a.pa.states.index(a.q_f), at[a.q_f]
+    pairs = [(q, i, at[q], at[c.twin_of[q]]) for i, q in enumerate(a.pa.states) if q != a.q_f]
+    for step, ((va, da), (vc, dc)) in enumerate(zip(run_a, run_c)):
+        if va[sink_a] or vc[sink_c]:
             return CheckResult(
                 False,
-                f"step {i}: success sink carries mass "
-                f"({da.mass(a.q_f)} lifted, {dc.mass(a.q_f)} twinned)")
-        for q in a.pa.states:
-            if q == a.q_f:
-                continue
-            want = HALF * da.mass(q)
-            got = dc.mass(q)
-            got_hat = dc.mass(c.twin_of[q])
-            if got != want or got_hat != want:
+                f"step {step}: success sink carries mass "
+                f"({Fraction(va[sink_a], da)} lifted, {Fraction(vc[sink_c], dc)} twinned)")
+        for q, i, j, j_hat in pairs:
+            want = va[i] * dc
+            if 2 * da * vc[j] != want or 2 * da * vc[j_hat] != want:
                 return CheckResult(
                     False,
-                    f"step {i}, state {q}: twin pair carries ({got}, {got_hat}), "
-                    f"expected {want} each")
+                    f"step {step}, state {q}: twin pair carries "
+                    f"({Fraction(vc[j], dc)}, {Fraction(vc[j_hat], dc)}), "
+                    f"expected {Fraction(va[i], 2 * da)} each")
     return CheckResult(True)
 
 

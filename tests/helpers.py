@@ -6,15 +6,20 @@ from fractions import Fraction
 from itertools import product
 
 from pasynch import (
+    CheckResult,
     Dist,
+    HALF,
     InputError,
+    LiftedPa,
     Pa,
     ScheduleSearchResult,
     SearchResult,
+    TwinPa,
     Value1Instance,
     Word,
     ZERO,
     matrix_oracle,
+    outcome,
 )
 
 LETTER_POOL = ("a", "b", "c")
@@ -140,3 +145,90 @@ def reference_outcome(pa: Pa, word) -> list[Dist]:
     for a in pa.check_word(word):
         dists.append(reference_step(pa, dists[-1], a))
     return dists
+
+
+def reference_parse_pa(text: str) -> Pa:
+    """The automaton of a `.pa` document that `parse_pa` accepts, built
+    line by line through the public `Dist` and `Pa` constructors, so that
+    every name and value is checked again and no row object is shared."""
+    fields: dict[str, list[str]] = {}
+    delta: dict[tuple[str, str], Dist] = {}
+    for line in text.splitlines():
+        key, _, rest = line.partition(":")
+        tokens = rest.split()
+        if key == "row":
+            delta[(tokens[0], tokens[1])] = Dist(dict(zip(tokens[2::2], tokens[3::2])))
+        else:
+            fields[key] = tokens
+    initial = Dist(dict(zip(fields["initial"][::2], fields["initial"][1::2])))
+    return Pa(fields["states"], fields["letters"], initial, delta, fields["accepting"])
+
+
+def reference_validate(pa: Pa) -> tuple[str, ...]:
+    """The violations of `Pa.validate`, found key by key with a
+    `Dist.total()` `Fraction` for every row."""
+    v: list[str] = []
+    for names, what in ((pa.states, "state name"), (pa.alphabet, "letter")):
+        seen: set[str] = set()
+        for x in names:
+            if not x:
+                v.append("empty state name" if what == "state name" else "empty letter")
+            elif x in seen:
+                v.append(f"duplicate {what} {x!r}")
+            seen.add(x)
+    for q, _ in pa.initial.items():
+        if q not in pa.state_set:
+            v.append(f"initial mass on unknown state {q!r}")
+    if pa.initial.total() != 1:
+        v.append(f"initial distribution sums to {pa.initial.total()}")
+    for (q, a) in pa.delta:
+        if q not in pa.state_set:
+            v.append(f"delta row for unknown state {q!r}")
+        elif a not in pa.letter_set:
+            v.append(f"delta row for unknown letter {a!r}")
+    for q in pa.states:
+        for a in pa.alphabet:
+            row = pa.delta.get((q, a))
+            if row is None:
+                v.append(f"delta incomplete at ({q},{a})")
+                continue
+            for target, _ in row.items():
+                if target not in pa.state_set:
+                    v.append(f"row ({q},{a}) targets unknown state {target!r}")
+            if row.total() != 1:
+                v.append(f"row ({q},{a}) sums to {row.total()}")
+    for q in pa.accepting:
+        if q not in pa.state_set:
+            v.append(f"accepting state {q!r} not a state")
+    return tuple(v)
+
+
+def reference_check_p1(c: TwinPa, v1, v2) -> CheckResult:
+    """`check_p1` on the `Dist`s of two `outcome` runs, state by state."""
+    w1, w2 = c.pa.check_word(v1), c.pa.check_word(v2)
+    full = outcome(c.pa, w1 + (c.hash,) + w2)
+    fresh_run = outcome(c.pa, w2)
+    for i in range(len(w2) + 1):
+        for q in c.pa.states:
+            lhs, rhs = full[len(w1) + 1 + i].mass(q), fresh_run[i].mass(q)
+            if lhs != rhs:
+                return CheckResult(False, f"step {i}, state {q}: {lhs} != {rhs}")
+    return CheckResult(True)
+
+
+def reference_check_p2(a: LiftedPa, c: TwinPa, w) -> CheckResult:
+    """`check_p2` on the `Dist`s of two `outcome` runs, state by state;
+    the caller passes a word without commit or reset letters."""
+    run_a, run_c = outcome(a.pa, w), outcome(c.pa, w)
+    for i, (da, dc) in enumerate(zip(run_a, run_c)):
+        if da.mass(a.q_f) or dc.mass(a.q_f):
+            return CheckResult(False, f"step {i}: success sink carries mass "
+                                      f"({da.mass(a.q_f)} lifted, {dc.mass(a.q_f)} twinned)")
+        for q in a.pa.states:
+            if q == a.q_f:
+                continue
+            want, got, got_hat = HALF * da.mass(q), dc.mass(q), dc.mass(c.twin_of[q])
+            if got != want or got_hat != want:
+                return CheckResult(False, f"step {i}, state {q}: twin pair carries "
+                                          f"({got}, {got_hat}), expected {want} each")
+    return CheckResult(True)

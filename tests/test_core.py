@@ -1,6 +1,7 @@
 """Data model: probabilities, distributions, automata, validation, Post sets."""
 import copy
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pasynch import (
     outcome,
     twin,
 )
+from helpers import random_pa, reference_validate
 
 
 def two_state_pa():
@@ -156,6 +158,45 @@ class TestValidate:
         violations = pa.validate().violations
         assert any("duplicate state name" in v for v in violations)
         assert any("duplicate letter" in v for v in violations)
+
+    def test_a_shared_bad_row_is_reported_for_every_key(self):
+        bad = Dist({"q0": "1/3", "zz": "1/3"})
+        pa = Pa(("q0", "q1"), ("a",), {"q0": 1}, {("q0", "a"): bad, ("q1", "a"): bad})
+        assert pa.validate().violations == (
+            "row (q0,a) targets unknown state 'zz'", "row (q0,a) sums to 2/3",
+            "row (q1,a) targets unknown state 'zz'", "row (q1,a) sums to 2/3")
+
+    def test_matches_the_total_based_reference(self):
+        # random automata with corrupted initial distributions, corrupted
+        # rows and one bad row object shared by several keys
+        rng = random.Random(29)
+
+        def mass(names):
+            den = rng.randint(1, 6)
+            return {rng.choice(names): Fraction(rng.randint(0, den), den)
+                    for _ in range(rng.randint(0, 3))}
+
+        outcomes = set()
+        for _ in range(300):
+            pa = random_pa(rng)
+            names = pa.states + ("zz",)
+            delta = dict(pa.delta)
+            keys = sorted(delta)
+            shared = Dist(mass(names))
+            for key in rng.sample(keys, rng.randint(0, len(keys))):
+                delta[key] = shared
+            for key in rng.sample(keys, rng.randint(0, min(2, len(keys)))):
+                delta[key] = Dist(mass(names))
+            for key in rng.sample(keys, rng.randint(0, 1)):
+                del delta[key]
+            if rng.random() < 0.2:
+                delta[(rng.choice(names), rng.choice(("a", "z")))] = shared
+            initial = pa.initial if rng.random() < 0.5 else Dist(mass(names))
+            accepting = pa.accepting | ({"zz"} if rng.random() < 0.1 else set())
+            broken = Pa(pa.states, pa.alphabet, initial, delta, accepting)
+            assert broken.validate().violations == reference_validate(broken)
+            outcomes.add(broken.validate().ok)
+        assert outcomes == {True, False}
 
 
 class TestImmutablePa:

@@ -1,4 +1,5 @@
 """Document format: parsing, serialization, round trips, CSV traces."""
+import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from pasynch import (
     FormatError,
     InputError,
     LiftedPa,
+    Pa,
     TwinPa,
     ValidationError,
     as_prob,
@@ -25,7 +27,7 @@ from pasynch import (
     twin,
     write_trace_csv,
 )
-from helpers import random_value1_instance
+from helpers import random_value1_instance, reference_parse_pa
 
 B_ONE_DOC = """\
 format: pa/1
@@ -183,6 +185,67 @@ def test_round_trip_random_corpus():
             assert type(back) is type(obj)
             assert _pa_of(back) == _pa_of(obj)
             assert serialize_pa(back) == text
+
+
+def _mangled(rng, line):
+    """`line` with its literals in other spellings, and now and then a
+    changed value, an explicit zero or a target outside the states."""
+    key, *tokens = line.split()
+    head = 2 if key == "row:" else 0
+    body = tokens[head:]
+    for i in range(1, len(body), 2):
+        p, k = Fraction(body[i]), rng.randint(1, 3)
+        if k > 1:
+            body[i] = f"{p.numerator * k}/{p.denominator * k}"
+        if rng.random() < 0.05:
+            den = rng.randint(1, 5)
+            body[i] = f"{rng.randint(0, den)}/{den}"
+    if rng.random() < 0.05:
+        body += [rng.choice(("zz", "yy")), rng.choice(("0", "1/3"))]
+    return " ".join([key, *tokens[:head], *body])
+
+
+def test_parse_matches_the_public_constructors():
+    # random plain, lifted and twinned documents with re-spelled literals
+    # and some broken rows, loaded without validation
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(40):
+        b = random_value1_instance(rng)
+        for obj in (b.pa, lift(b), twin(lift(b))):
+            doc = "\n".join(_mangled(rng, line) if line.startswith(("row:", "initial:")) else line
+                            for line in serialize_pa(obj).splitlines())
+            got, want = _pa_of(parse_pa(doc, require_valid=False)), reference_parse_pa(doc)
+            assert got == want
+            assert got.validate() == want.validate()
+            assert dict(got.initial.items()) == dict(want.initial.items())
+            for key, row in want.delta.items():
+                assert dict(got.delta[key].items()) == dict(row.items())
+            outcomes.add(got.validate().ok)
+    assert outcomes == {True, False}
+
+
+def test_twin_document_has_one_row_object_per_distinct_body():
+    text = serialize_pa(twin(lift(random_value1_instance(random.Random(5)))))
+    pa = parse_pa(text).pa
+    by_body = {}
+    for line in text.splitlines():
+        if line.startswith("row:"):
+            _, q, a, *body = line.split()
+            by_body.setdefault(tuple(body), set()).add(id(pa.delta[(q, a)]))
+    assert all(len(ids) == 1 for ids in by_body.values())
+    assert len({id(row) for row in pa.delta.values()}) == len(by_body) < len(pa.delta)
+
+
+def test_serialize_is_the_same_for_shared_and_distinct_rows():
+    c = twin(lift(b_half()))
+    pa = c.pa
+    fresh = Pa(pa.states, pa.alphabet, Dist(dict(pa.initial.items())),
+               {key: Dist(dict(row.items())) for key, row in pa.delta.items()}, pa.accepting)
+    assert len({id(row) for row in pa.delta.values()}) < len(pa.delta)
+    assert len({id(row) for row in fresh.delta.values()}) == len(fresh.delta)
+    assert serialize_pa(fresh) == serialize_pa(pa)
+    assert serialize_pa(dataclasses.replace(c, pa=fresh)) == serialize_pa(c)
 
 
 def test_empty_accepting_serialized_explicitly():
