@@ -243,6 +243,12 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
 
     qn, qn_hat, qf = c.q_n, c.q_n_hat, c.q_f
     k = Kernel.of(c.pa)
+    # Not a pair of the walk, so its primes need not divide the kernel's
+    # base (see `Kernel.advance`). They do on a twin built by `twin`:
+    # every letter sends the success sink's mass into the failure pair,
+    # halved, so every L_a is even. Where the base is odd, a step from it
+    # can keep one spare factor 2, but only in a pair whose masses have
+    # an odd denominator, which differs from this one either way.
     sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
     run = list(k.walk(w))
 
@@ -280,10 +286,11 @@ def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
 
     The walk stops at the first step past 1/2, compared in integers."""
     word = c.pa.check_word(w, {c.dollar: "commit"})
-    for i, pair in enumerate(Kernel.of(c.pa).walk(word)):
+    k = Kernel.of(c.pa)
+    for i, pair in enumerate(k.walk(word)):
         v, den = pair
         if 2 * max(v, default=0) > den:
-            return CheckResult(False, f"step {i}: norm {Kernel.norm(pair)} exceeds 1/2")
+            return CheckResult(False, f"step {i}: norm {k.norm(pair)} exceeds 1/2")
     return CheckResult(True)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Dist, InputError, Pa
@@ -22,6 +22,17 @@ from .core import Dist, InputError, Pa
 # A distribution as the kernel holds it: (numerators, denominator), in
 # lowest terms, so two pairs are equal exactly when the masses are.
 Ints = tuple[tuple[int, ...], int]
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """`Fraction(num, den)` for coprime `num >= 0` and `den > 0`, built
+    without the gcd that `Fraction()` runs. It fills the two slots every
+    `Fraction` has on CPython 3.10-3.13, as `Fraction._from_coprime_ints`
+    (3.12 and later only) does."""
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
 
 
 class Kernel:
@@ -32,17 +43,20 @@ class Kernel:
     mass out of such a name, or out of a state with a missing row, raises
     the same `InputError` as `Pa.row`. Each letter's rows are compiled
     into integer columns over `L_a`, the least common denominator of the
-    letter's entries. One step is then integer multiply-adds,
-    `den *= L_a` and one `gcd(den, *v)` reduction. `start` is the initial
-    pair and `accepting` the accepting states' indices. `Kernel.of`
-    compiles each (immutable) `Pa` once, on first use.
+    letter's entries. One step is then integer multiply-adds, `den *= L_a`
+    and a reduction to lowest terms over the kernel's *base*, the lcm of
+    the start denominator and every `L_a`: see `advance`. `norm` and
+    `fraction` reduce the same way and build their `Fraction` without a
+    second gcd. `start` is the initial pair and `accepting` the accepting
+    states' indices. `Kernel.of` compiles each (immutable) `Pa` once, on
+    first use.
 
     Acceptance after one more letter is linear in the pair (Tzeng, 1992):
     `weights(a)` gives `(w_a, L_a)` with `P(d·a) = <v, w_a> / (D * L_a)`
     for `d = v / D`, so a word can be scored without being stepped.
     """
 
-    __slots__ = ("names", "start", "accepting", "_index", "_letters")
+    __slots__ = ("names", "start", "accepting", "_base", "_index", "_letters")
 
     @classmethod
     def of(cls, pa: Pa) -> "Kernel":
@@ -63,9 +77,12 @@ class Kernel:
         self.names = tuple(names)
         self._index = index
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
-        self._letters = {a: self._compile(a, letter_rows, unknown)
-                         for a, letter_rows in rows.items()}
+        compiled = {a: self._compile(a, letter_rows, unknown) for a, letter_rows in rows.items()}
         self.start = self.ints(pa.initial)
+        self._base = base = lcm(self.start[1], *(c[0] for c in compiled.values()))
+        # also in each letter's tuple, so `advance` reads it without an attribute lookup
+        self._letters = {a: (den_a, base, columns, errors)
+                         for a, (den_a, columns, errors) in compiled.items()}
         self.accepting = tuple(index[q] for q in pa.accepting if q in index)
 
     def _compile(self, letter: str, rows: list[Dist | None], unknown: list) -> tuple:
@@ -83,7 +100,11 @@ class Kernel:
             sources, nums = columns[j]
             sources.append(i)
             nums.append(num * (den // d))
-        return den, [(tuple(src), tuple(nums)) for src, nums in columns], errors + unknown
+        # itemgetter(*src)(v) fetches a column's sources in one C call; the
+        # two spare indices make it return a tuple for zero or one source
+        # too, and `map(mul, ..., nums)` stops at the end of `nums`
+        return (den, [(itemgetter(*src, 0, 0), tuple(nums)) for src, nums in columns],
+                errors + unknown)
 
     def ints(self, d: Dist) -> Ints:
         """`d` over the kernel's names; positive mass elsewhere is an `InputError`."""
@@ -99,25 +120,46 @@ class Kernel:
     def dist(self, pair: Ints, norm: Fraction | None = None) -> Dist:
         return Dist._from_ints(self.names, *pair, norm)
 
-    @staticmethod
-    def norm(pair: Ints) -> Fraction:
+    def fraction(self, num: int, den: int) -> Fraction:
+        """`num / den` for a denominator `den` of this kernel's pairs,
+        reduced over the base as in `advance`."""
+        g = gcd(self._base, num, den)
+        while g != 1:
+            num //= g
+            den //= g
+            g = gcd(g, num, den)
+        return _coprime_fraction(num, den)
+
+    def norm(self, pair: Ints) -> Fraction:
         v, den = pair
-        return Fraction(max(v, default=0), den)
+        return self.fraction(max(v, default=0), den)
 
     def advance(self, pair: Ints, letter: str) -> Ints:
-        """One step on `letter`, a letter of the automaton."""
-        den_a, columns, errors = self._letters[letter]
+        """One step on `letter`, a letter of the automaton.
+
+        The start denominator divides the base and each step multiplies
+        `den` by an `L_a` that divides it too, so every prime of `den`,
+        and of any common factor of `den` and `v`, divides the base. The
+        first round's `g` therefore holds every prime of the common
+        factor; each later round's `g` holds every prime still common,
+        and the loop ends with the pair in lowest terms. Each round costs
+        a big-mod-small `gcd`, linear in the size of `den`, where
+        `gcd(den, *v)` would be quadratic. A pair from `ints` of another
+        distribution may carry primes outside the base; `step` takes those
+        out itself.
+        """
+        den_a, base, columns, errors = self._letters[letter]
         v, den = pair
         for i, message in errors:
             if v[i]:
                 raise InputError(message)
-        get = v.__getitem__
-        new = [sum(map(mul, map(get, src), nums)) for src, nums in columns]
+        new = [sum(map(mul, get(v), nums)) for get, nums in columns]
         den *= den_a
-        g = gcd(den, *new)
-        if g != 1:
+        g = gcd(base, den, *new)
+        while g != 1:
             new = [x // g for x in new]
             den //= g
+            g = gcd(g, den, *new)
         top = max(new, default=0)
         if top > den:  # a row summing past 1 on a malformed automaton
             raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
@@ -126,10 +168,12 @@ class Kernel:
     def weights(self, letter: str) -> tuple[tuple[int, ...], int]:
         """`(w_a, L_a)`: `w_a[i]` is the mass state `i` sends into the
         accepting states on `letter`, as a numerator over `L_a`."""
-        den_a, columns, _ = self._letters[letter]
+        den_a, _, columns, _ = self._letters[letter]
+        ids = range(len(self.names))  # a column's getter maps these to its sources
         w = [0] * len(self.names)
         for j in self.accepting:
-            for i, num in zip(*columns[j]):
+            get, nums = columns[j]
+            for i, num in zip(get(ids), nums):
                 w[i] += num
         return tuple(w), den_a
 
@@ -147,7 +191,9 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     if letter not in pa.letter_set:
         raise InputError(f"unknown letter {letter!r}")
     k = Kernel.of(pa)
-    return k.dist(k.advance(k.ints(d), letter))
+    v, den = k.advance(k.ints(d), letter)
+    g = gcd(den, *v)  # the primes of `d` outside the kernel's base
+    return k.dist((tuple(x // g for x in v), den // g))
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:
@@ -163,7 +209,7 @@ def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     k = Kernel.of(pa)
     for v, den in k.walk(pa.check_word(word)):
         pass
-    return Fraction(sum(v[i] for i in k.accepting), den)
+    return k.fraction(sum(v[i] for i in k.accepting), den)
 
 
 @dataclass(frozen=True)

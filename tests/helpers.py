@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from pasynch import (
     CheckResult,
@@ -145,6 +146,19 @@ def reference_outcome(pa: Pa, word) -> list[Dist]:
     for a in pa.check_word(word):
         dists.append(reference_step(pa, dists[-1], a))
     return dists
+
+
+def reference_pairs(pa: Pa, word, names) -> list[tuple[tuple[int, ...], int]]:
+    """The run of `word` as integer pairs over `names`, from `reference_outcome`.
+
+    Each denominator is the lcm of the masses' reduced denominators, so
+    every pair is in lowest terms."""
+    pairs = []
+    for d in reference_outcome(pa, word):
+        masses = [d.mass(q) for q in names]
+        den = lcm(*(p.denominator for p in masses))
+        pairs.append((tuple(p.numerator * (den // p.denominator) for p in masses), den))
+    return pairs
 
 
 def reference_parse_pa(text: str) -> Pa:

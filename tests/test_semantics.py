@@ -1,8 +1,11 @@
 """Distribution evolution: step, outcome, acceptance, traces."""
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +28,15 @@ from pasynch import (
     step,
     twin,
 )
-from pasynch.semantics import Kernel, lasso_stream
-from helpers import random_dist, random_pa, random_word, reference_outcome, reference_step
+from pasynch.semantics import Kernel, _coprime_fraction, lasso_stream
+from helpers import (
+    random_dist,
+    random_pa,
+    random_word,
+    reference_outcome,
+    reference_pairs,
+    reference_step,
+)
 
 HALF = Fraction(1, 2)
 
@@ -286,6 +296,117 @@ def test_step_matches_reference_on_user_dists(seed):
         assert dict(got.nonzero()) == dict(want.nonzero())
         assert got.norm() == want.norm()
     _assert_matches_reference(pa, random_word(rng, pa.alphabet, 12))
+
+
+def test_step_reduces_primes_outside_the_kernel_base():
+    # every denominator of the automaton is 1, so its base is 1, and the
+    # 3 of the user's distribution is a prime `advance` does not take out
+    pa = Pa(("x", "y"), ("a",), {"x": 1}, {("x", "a"): {"x": 1}, ("y", "a"): {"x": 1}})
+    d = Dist({"x": Fraction(1, 3), "y": Fraction(2, 3)})
+    got = step(pa, d, "a")
+    assert got._ints[1:3] == ((1, 0), 1)  # the pair, read before the map is made
+    assert got == reference_step(pa, d, "a") == Dist.dirac("x")
+
+
+# -- reduction over the kernel's base: lowest terms for every denominator family
+
+# small, prime powers, two large primes, a product of three primes
+DENOMINATORS = (
+    lambda rng: rng.randint(1, 8),
+    lambda rng: 2 ** rng.randint(0, 12),
+    lambda rng: 3 ** rng.randint(0, 8),
+    lambda rng: 1000003,
+    lambda rng: 2 ** 61 - 1,
+    lambda rng: 97 * 89 * 83,
+)
+
+
+def _composition(rng, states, den, short: bool):
+    """Masses n_i / den on `states`; they sum to 1, or below 1 when `short`."""
+    total = rng.randint(0, den - 1) if short and den > 1 else den
+    cuts = sorted(rng.randint(0, total) for _ in range(len(states) - 1))
+    bounds = [0, *cuts, total]
+    return {q: Fraction(bounds[i + 1] - bounds[i], den)
+            for i, q in enumerate(states) if bounds[i + 1] > bounds[i]}
+
+
+def _family_pa(rng):
+    n = rng.randint(1, 6)
+    states = tuple(f"q{i}" for i in range(n))
+    letters = ("a", "b", "c")[:rng.randint(1, 3)]
+    families = rng.sample(DENOMINATORS, rng.randint(1, 3))
+    short = rng.random() < 0.3
+
+    def dist(may_be_short):
+        den = rng.choice(families)(rng)
+        return _composition(rng, states, den, may_be_short and rng.random() < 0.5)
+
+    delta = {(q, a): dist(short) for q in states for a in letters}
+    return Pa(states, letters, dist(False), delta, rng.sample(states, rng.randint(0, n)))
+
+
+def _assert_same_fraction(got, want):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is Fraction and (back.numerator, back.denominator) == (
+        want.numerator, want.denominator)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_walk_pairs_are_lowest_terms_over_every_denominator_family(seed):
+    rng = random.Random(seed)
+    pa = _family_pa(rng)
+    k = Kernel.of(pa)
+    word = random_word(rng, pa.alphabet, 40)
+    pairs = list(k.walk(word))
+    assert pairs == reference_pairs(pa, word, k.names)
+    for v, den in pairs:
+        assert gcd(den, *v) == 1
+        _assert_same_fraction(k.norm((v, den)), Fraction(max(v, default=0), den))
+    trace = norm_trace(pa, word)
+    assert [e.norm for e in trace] == [Fraction(max(v, default=0), den) for v, den in pairs]
+    v, den = pairs[-1]
+    _assert_same_fraction(acceptance_probability(pa, word),
+                          Fraction(sum(v[i] for i in k.accepting), den))
+
+
+def test_walk_reduces_a_common_factor_past_the_base():
+    # p keeps 4^-n after a^n; collapsing onto p leaves the pair (4^n, 0) / 4^n,
+    # a common factor 4^n that one round over the base 4 only cuts to 4^(n-1)
+    pa = Pa(("p", "q"), ("a", "c"), {"p": 1},
+            {("p", "a"): {"p": Fraction(1, 4), "q": Fraction(3, 4)}, ("q", "a"): {"q": 1},
+             ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}})
+    for n in range(5):
+        pairs = list(Kernel.of(pa).walk(("a",) * n + ("c",)))
+        assert pairs[-2][1] == 4 ** n
+        assert pairs[-1] == ((1, 0), 1)
+
+
+def test_walk_reduces_the_start_denominator():
+    # no row has a 3 in its denominator; only the start does
+    pa = Pa(("p", "q"), ("a", "c"), {"p": Fraction(1, 3), "q": Fraction(2, 3)},
+            {("p", "a"): {"p": HALF, "q": HALF}, ("q", "a"): {"q": 1},
+             ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}})
+    for n in range(4):
+        pairs = list(Kernel.of(pa).walk(("a",) * n + ("c",)))
+        assert pairs[-2][1] == 3 * 2 ** n
+        assert pairs[-1] == ((1, 0), 1)
+
+
+@pytest.mark.parametrize("num, den", [(0, 1), (1, 1), (1, 2), (2, 3), (5, 2 ** 61 - 1),
+                                      (3 ** 40, 2 ** 70 * 7)])
+def test_coprime_fraction_is_a_plain_fraction(num, den):
+    got = _coprime_fraction(num, den)
+    want = Fraction(num, den)
+    _assert_same_fraction(got, want)
+    _assert_same_fraction(copy.copy(got), want)
+    _assert_same_fraction(copy.deepcopy(got), want)
+    assert got + HALF == want + HALF and got * 3 == want * 3
+    assert (got < HALF) == (want < HALF) and float(got) == float(want)
 
 
 def test_kernel_dists_read_like_built_ones():
