@@ -110,15 +110,21 @@ def _beats_rung(num: int, den: int, i: int) -> bool:
 def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     """Yield (shortlex rank, accepting numerator, denominator) in rank order.
 
-    Each layer maps a kernel pair to the lex index of the first word of
-    its length that reached it, and only that word is extended. Equal
-    pairs have equal futures, and the first word's extensions come first
-    in shortlex order, so every word skipped has an earlier yielded word
-    with the same probability.
+    Each stepped layer maps a kernel pair to the lex index of the first
+    word of its length that reached it, and only that word is extended.
+    Equal pairs have equal futures, and the first word's extensions come
+    first in shortlex order, so every word skipped has an earlier yielded
+    word with the same probability.
 
-    A word `u·a` is scored from its parent's pair `(v, D)` alone, as
-    `(<v, w_a>, D * L_a)` with `Kernel.weights`; only layers below
-    `max_len` are stepped, to build the next layer. So:
+    Layers are stepped up to `h = max(max_len - 2, 0)` only. A word `u·a`
+    of length at most `h + 1` is scored from its parent's pair `(v, D)`
+    as `(<v, w_a>, D * L_a)` with `Kernel.weights`; a word `u·a·b` of
+    length `h + 2` from its grandparent's, with the two-letter weights
+    `w_ab` made when that length is reached, at rank `offset + index * n²
+    + j` for the lex index `j` of `a·b`. So a word under a duplicate pair
+    of layer `max_len - 1` gets a score too, equal to an earlier word's.
+    The depth stays two: where many words reach one pair, the scores per
+    pair grow as n^depth, one alphabet factor over stepping at two. So:
 
     - the yielded pairs are not in lowest terms; compare them by
       cross-multiplication, never by equality of parts;
@@ -131,13 +137,16 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     layer = {k.start: 0}
     yield 0, sum(map(k.start[0].__getitem__, k.accepting)), k.start[1]
     offset, width = 0, 1  # rank of the first word of a length, and their number
+    h = max(max_len - 2, 0)  # the last layer stepped
     for length in range(1, max_len + 1):
         offset, width, nxt = offset + width, width * n, {}
+        if length == h + 2:
+            weights = [k.weights(a, after) for a in pa.alphabet for after in weights]
         for (v, den), index in layer.items():
-            rank = offset + index * n
-            for j, (w, den_a) in enumerate(weights):
-                yield rank + j, sum(map(mul, v, w)), den * den_a
-        if length < max_len:
+            rank = offset + index * len(weights)
+            for j, (w, den_w) in enumerate(weights):
+                yield rank + j, sum(map(mul, v, w)), den * den_w
+        if length <= h:
             for pair, index in layer.items():
                 for j, a in enumerate(pa.alphabet):
                     nxt.setdefault(k.advance(pair, a), index * n + j)
@@ -248,7 +257,8 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
     # every letter sends the success sink's mass into the failure pair,
     # halved, so every L_a is even. Where the base is odd, a step from it
     # can keep one spare factor 2, but only in a pair whose masses have
-    # an odd denominator, which differs from this one either way.
+    # an odd denominator, which differs from this one either way; its
+    # `Dist` is given no base, so its masses lose that factor too.
     sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
     run = list(k.walk(w))
 
@@ -277,7 +287,7 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
                 return CheckResult(
                     False,
                     f"step {position} via {a!r}: expected the half/half "
-                    f"failure pair, got {k.dist(got)}")
+                    f"failure pair, got {Dist._from_ints(k.names, *got, None)}")
     return CheckResult(True)
 
 

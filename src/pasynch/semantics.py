@@ -17,22 +17,11 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Dist, InputError, Pa
+from .core import Dist, InputError, Pa, _base_fraction
 
 # A distribution as the kernel holds it: (numerators, denominator), in
 # lowest terms, so two pairs are equal exactly when the masses are.
 Ints = tuple[tuple[int, ...], int]
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """`Fraction(num, den)` for coprime `num >= 0` and `den > 0`, built
-    without the gcd that `Fraction()` runs. It fills the two slots every
-    `Fraction` has on CPython 3.10-3.13, as `Fraction._from_coprime_ints`
-    (3.12 and later only) does."""
-    f = object.__new__(Fraction)
-    f._numerator = num
-    f._denominator = den
-    return f
 
 
 class Kernel:
@@ -51,9 +40,10 @@ class Kernel:
     states' indices. `Kernel.of` compiles each (immutable) `Pa` once, on
     first use.
 
-    Acceptance after one more letter is linear in the pair (Tzeng, 1992):
-    `weights(a)` gives `(w_a, L_a)` with `P(d·a) = <v, w_a> / (D * L_a)`
-    for `d = v / D`, so a word can be scored without being stepped.
+    Acceptance after a word `x` is linear in the pair (Tzeng, 1992):
+    `P(d·x) = <v, w_x> / (D * L_x)` for `d = v / D`, and `weights` builds
+    `(w_x, L_x)` one letter back at a time, so the last letters of a word
+    can be scored without being stepped.
     """
 
     __slots__ = ("names", "start", "accepting", "_base", "_index", "_letters")
@@ -118,21 +108,18 @@ class Kernel:
         return tuple(v), den
 
     def dist(self, pair: Ints, norm: Fraction | None = None) -> Dist:
-        return Dist._from_ints(self.names, *pair, norm)
+        """`pair`, whose primes all divide the base, as a `Dist` whose masses
+        are reduced over the base."""
+        return Dist._from_ints(self.names, *pair, self._base, norm)
 
     def fraction(self, num: int, den: int) -> Fraction:
         """`num / den` for a denominator `den` of this kernel's pairs,
         reduced over the base as in `advance`."""
-        g = gcd(self._base, num, den)
-        while g != 1:
-            num //= g
-            den //= g
-            g = gcd(g, num, den)
-        return _coprime_fraction(num, den)
+        return _base_fraction(self._base, num, den)
 
     def norm(self, pair: Ints) -> Fraction:
         v, den = pair
-        return self.fraction(max(v, default=0), den)
+        return _base_fraction(self._base, max(v, default=0), den)
 
     def advance(self, pair: Ints, letter: str) -> Ints:
         """One step on `letter`, a letter of the automaton.
@@ -165,17 +152,22 @@ class Kernel:
             raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
         return tuple(new), den
 
-    def weights(self, letter: str) -> tuple[tuple[int, ...], int]:
-        """`(w_a, L_a)`: `w_a[i]` is the mass state `i` sends into the
-        accepting states on `letter`, as a numerator over `L_a`."""
+    def weights(self, letter: str, after: Ints | None = None) -> Ints:
+        """One step back on `letter`, the transpose of `advance`: from the
+        weights `(w_x, L_x)` of a word `x` (the empty word, the accepting
+        indicator over 1, if `after` is None), the weights of `letter·x`,
+        not reduced. `w_x[i] / L_x` is the mass state `i` sends into the
+        accepting states along `x`."""
         den_a, _, columns, _ = self._letters[letter]
         ids = range(len(self.names))  # a column's getter maps these to its sources
+        x, den_x = after or (tuple(int(j in self.accepting) for j in ids), 1)
         w = [0] * len(self.names)
-        for j in self.accepting:
-            get, nums = columns[j]
-            for i, num in zip(get(ids), nums):
-                w[i] += num
-        return tuple(w), den_a
+        for j, xj in enumerate(x):
+            if xj:
+                get, nums = columns[j]
+                for i, num in zip(get(ids), nums):
+                    w[i] += num * xj
+        return tuple(w), den_a * den_x
 
     def walk(self, word: Iterable[str]) -> Iterator[Ints]:
         """The pair at every step of `word`, from the start distribution on."""
@@ -193,7 +185,8 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     k = Kernel.of(pa)
     v, den = k.advance(k.ints(d), letter)
     g = gcd(den, *v)  # the primes of `d` outside the kernel's base
-    return k.dist((tuple(x // g for x in v), den // g))
+    # one can still divide a single mass, so no base is given for the masses
+    return Dist._from_ints(k.names, tuple(x // g for x in v), den // g, None)
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:

@@ -23,7 +23,7 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from pasynch.analysis import _shortlex_scan, _word_at
+from pasynch.analysis import _shortlex_scan, _word_at, _word_count
 from pasynch.semantics import Kernel
 from helpers import (
     random_dist,
@@ -195,10 +195,15 @@ class TestSharedScan:
 
     def test_only_the_first_word_to_reach_a_distribution_is_extended(self):
         b = _merging_instance()
-        # "b" reaches what "a" reached, so "ba" (rank 5) and "bb" are skipped
-        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 2)] == [0, 1, 2, 3, 4]
+        # "b" reaches what "a" reached in the stepped layer 1, so "ba",
+        # "bb" (ranks 5, 6) and "baa" .. "bbb" (ranks 11 .. 14) are skipped
+        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 3)] == [0, 1, 2, 3, 4, 7, 8, 9, 10]
+        assert bounded_value_search(b, 3) == reference_search(b, 3)
+        assert bounded_value_search(b, 3).best_word == ("a", "a")
+        # at max_len 2 layer 1 is not stepped: its words are scored from
+        # layer 0 with two-letter weights, so "ba" and "bb" get scores too
+        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 2)] == list(range(7))
         assert bounded_value_search(b, 2) == reference_search(b, 2)
-        assert bounded_value_search(b, 2).best_word == ("a", "a")
         for k in (1, 3):
             result = witness_schedule_search(b, k, 3)
             assert result == reference_schedule(b, k, 3)
@@ -206,14 +211,21 @@ class TestSharedScan:
 
     def test_scores_equal_the_matrix_oracle(self):
         # every yielded score is the oracle's probability of the word at
-        # its rank, and both searches equal the brute-force references
+        # its rank, every word skipped has an earlier yielded word of the
+        # same probability, and both searches equal the brute-force
+        # references. Half the instances draw every row from a pool of
+        # two, so that many words reach one distribution.
         rng = random.Random(41)
-        for letters in (("a",), ("a", "b"), ("a", "b", "c")):
-            for max_len in range(7):
+        for letters in ("a", "ab", "abc", "abcd", "abcde"):
+            for max_len in range(8):
+                if _word_count(len(letters), max_len) > 1400:
+                    break
                 states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
-                delta = {(q, a): random_dist(rng, states) for q in states for a in letters}
+                pool = [random_dist(rng, states)
+                        for _ in range(rng.choice((2, len(states) * len(letters))))]
+                delta = {(q, a): rng.choice(pool) for q in states for a in letters}
                 accepting = rng.sample(states, rng.randint(1, len(states)))
-                b = Value1Instance(Pa(states, letters, {"q0": 1}, delta, accepting))
+                b = Value1Instance(Pa(states, tuple(letters), {"q0": 1}, delta, accepting))
                 scored = scored_shortlex(b.pa, max_len)
                 ranks = []
                 for rank, num, den in _shortlex_scan(b.pa, max_len):
@@ -222,6 +234,11 @@ class TestSharedScan:
                     assert Fraction(num, den) == p
                     ranks.append(rank)
                 assert ranks == sorted(set(ranks)) and ranks[0] == 0
+                yielded, seen = set(ranks), set()
+                for rank, (_, p) in enumerate(scored):
+                    if rank in yielded:
+                        seen.add(p)
+                    assert p in seen
                 assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
                 for k in (1, 3, 5):
                     assert (witness_schedule_search(b, k, max_len)
@@ -244,9 +261,10 @@ class TestSharedScan:
             ranks = [rank for rank, _, _ in _shortlex_scan(b.pa, max_len)]
             monkeypatch.undo()
             assert ranks == list(range((3 ** (max_len + 1) - 1) // 2))
-            # one step per word of length 1 .. max_len - 1: layer size times
-            # |alphabet| for each layer below max_len - 1
-            assert len(calls) == sum(3 ** length * 3 for length in range(max_len - 1))
+            # one step per word of length 1 .. max_len - 2: layer size times
+            # |alphabet| for each layer below max_len - 2; the last two
+            # letters are scored with two-letter weights
+            assert len(calls) == sum(3 ** length * 3 for length in range(max_len - 2))
 
     def test_one_letter_sweep_at_large_max_len(self):
         result = bounded_value_search(b_half(), 50_000)

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import os
+import random
 import time
 
 import pytest
@@ -9,8 +10,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pasynch import (
+    CheckResult,
+    InputError,
+    NormTrace,
+    TraceEntry,
     b_half,
     b_one,
+    dollar_absorption_check,
     lasso_trace,
     lift,
     norm_trace,
@@ -22,6 +28,9 @@ from pasynch import (
 )
 from pasynch import core
 from pasynch.cli import _build_parser, main
+from helpers import reference_outcome
+from test_reduction import corrupted
+from test_semantics import _family_pa
 
 
 def _write_fixtures(tmp_path):
@@ -234,6 +243,36 @@ def test_absorb_precondition(files, capsys):
                  "--horizon", "5"]) == 2
 
 
+@pytest.mark.parametrize("row, prefix, reason", [
+    # on b_one's twin, "a" puts 1/2 on sA and 1/2 on its twin, and the
+    # commit letter sends both to the success sink
+    (("sA", "@sym:$", {"sA": 1}), "a.@sym:$",
+     "step 2: mass outside the sinks, on ['sA']"),
+    (("sA", "@sym:$", {"@lift:qn": 1}), "a.@sym:$",
+     "step 2: failure pair unbalanced (1/2 vs 0)"),
+    (("@lift:qf", "a", {"@lift:qn": 1}), "a.@sym:$.a",
+     "step 3: expected the half/half failure pair, got Dist({@lift:qn: 1})"),
+])
+def test_absorb_failures(tmp_path, capsys, row, prefix, reason):
+    bad = corrupted(twin(lift(b_one())), *row)
+    assert (dollar_absorption_check(bad, prefix.split("."), 3)
+            == CheckResult(False, reason))
+    path = str(tmp_path / "bad.pa")
+    save_pa(bad, path)
+    assert main(["absorb", path, "--prefix", prefix, "--horizon", "3"]) == 1
+    assert capsys.readouterr() == (f"FAIL: {reason}\n", "")
+
+
+def test_absorb_negative_horizon(files, capsys):
+    c = twin(lift(b_one()))
+    with pytest.raises(InputError) as err:
+        dollar_absorption_check(c, ("a", c.dollar), -1)
+    assert str(err.value) == "horizon must be >= 0, got -1"
+    assert main(["absorb", files["b_one_twin"], "--prefix", "a.@sym:$",
+                 "--horizon", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: horizon must be >= 0, got -1\n")
+
+
 def test_halfbound(files, capsys):
     assert main(["halfbound", files["b_one_twin"],
                  "--word", "a.@sym:#.a"]) == 0
@@ -335,6 +374,32 @@ def test_lasso_csv_streams_the_same_bytes(files, tmp_path, capsys):
     want = io.StringIO()
     write_trace_csv(c.pa.states, norm_trace(c.pa, ("a", c.dollar, c.hash, "a")), want)
     assert capsys.readouterr().out == want.getvalue()
+
+
+def test_trace_and_lasso_csv_match_fraction_stepping(tmp_path):
+    # kernel-built rows reduce each mass over the automaton's base; the
+    # bytes equal those of rows built by per-entry `Fraction` stepping,
+    # on automata with large-prime and prime-power denominators
+    rng = random.Random(59)
+    out, path = tmp_path / "out.csv", str(tmp_path / "pa.pa")
+    for _ in range(25):
+        pa = _family_pa(rng)
+        if not pa.validate().ok:
+            continue
+        save_pa(pa, path)
+        stem = tuple(rng.choice(pa.alphabet) for _ in range(rng.randint(0, 30)))
+        loop = tuple(rng.choice(pa.alphabet) for _ in range(rng.randint(1, 3)))
+        reps = rng.randint(0, 10)
+        for argv, word in ((["trace", path, "--word", ".".join(stem)], stem),
+                           (["lasso", path, "--stem", ".".join(stem), "--loop", ".".join(loop),
+                             "--reps", str(reps)], stem + loop * reps)):
+            assert main(argv + ["--csv", str(out)]) == 0
+            dists = reference_outcome(pa, word)
+            want = io.StringIO(newline="")
+            write_trace_csv(pa.states, NormTrace(tuple(
+                TraceEntry(i, word[i - 1] if i else None, d, d.norm())
+                for i, d in enumerate(dists))), want)
+            assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_lasso_and_trace_check_letters_before_opening_the_csv(files, tmp_path, capsys):

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,15 @@ from pasynch import (
     b_one,
     lasso_trace,
     lift,
+    matrix_oracle,
     max_norm_from,
     norm_trace,
     outcome,
     step,
     twin,
 )
-from pasynch.semantics import Kernel, _coprime_fraction, lasso_stream
+from pasynch.core import _coprime_fraction
+from pasynch.semantics import Kernel, lasso_stream
 from helpers import (
     random_dist,
     random_pa,
@@ -369,9 +372,50 @@ def test_walk_pairs_are_lowest_terms_over_every_denominator_family(seed):
         _assert_same_fraction(k.norm((v, den)), Fraction(max(v, default=0), den))
     trace = norm_trace(pa, word)
     assert [e.norm for e in trace] == [Fraction(max(v, default=0), den) for v, den in pairs]
+    # a kernel-built distribution's masses are reduced over the base too
+    for e, (v, den) in zip(trace.entries[1:], pairs[1:]):
+        for q, x in zip(k.names, v):
+            _assert_same_fraction(e.dist.mass(q), Fraction(x, den))
     v, den = pairs[-1]
     _assert_same_fraction(acceptance_probability(pa, word),
                           Fraction(sum(v[i] for i in k.accepting), den))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_weights_step_back_like_the_matrix_oracle(seed):
+    # P(u·x) = <v, w_x> / (D * L_x) for the pair (v, D) of u and the
+    # weights of x, built one letter back at a time, up to three letters
+    rng = random.Random(seed)
+    pa = _family_pa(rng)
+    k = Kernel.of(pa)
+    u = random_word(rng, pa.alphabet, 6)
+    v, den = list(k.walk(u))[-1]
+    for a in pa.alphabet:
+        w, den_w = k.weights(a)
+        assert [Fraction(x, den_w) for x in w] == [
+            sum((pa.delta[(q, a)].mass(t) for t in pa.accepting), Fraction(0))
+            for q in pa.states]
+    x, weights = (), None
+    for _ in range(3):
+        a = rng.choice(pa.alphabet)
+        x, weights = (a, *x), k.weights(a, weights)
+        final = matrix_oracle(pa, u + x)[-1]
+        want = sum((final.mass(q) for q in pa.accepting), Fraction(0))
+        assert Fraction(sum(map(mul, v, weights[0])), den * weights[1]) == want
+
+
+def test_step_masses_are_lowest_terms_past_the_base():
+    # base 1; the pair (2, 1, 3) / 6 is in lowest terms, but the mass
+    # 2/6 on x still holds a 2 that no reduction over the base takes out
+    names = ("x", "y", "z")
+    pa = Pa(names, ("a",), {"x": 1}, {(q, "a"): {q: 1} for q in names})
+    d = Dist({"x": Fraction(1, 3), "y": Fraction(1, 6), "z": HALF})
+    got = step(pa, d, "a")
+    assert got._ints[1:3] == ((2, 1, 3), 6)  # the pair, read before the map is made
+    for q in names:
+        _assert_same_fraction(got.mass(q), d.mass(q))
+    assert got == d and hash(got) == hash(d) and str(got) == str(d)
 
 
 def test_walk_reduces_a_common_factor_past_the_base():
