@@ -258,7 +258,8 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
     # halved, so every L_a is even. Where the base is odd, a step from it
     # can keep one spare factor 2, but only in a pair whose masses have
     # an odd denominator, which differs from this one either way; its
-    # `Dist` is given no base, so its masses lose that factor too.
+    # `Dist` reduces its masses over its own denominator, so they lose
+    # that factor too.
     sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
     run = list(k.walk(w))
 
@@ -287,7 +288,7 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
                 return CheckResult(
                     False,
                     f"step {position} via {a!r}: expected the half/half "
-                    f"failure pair, got {Dist._from_ints(k.names, *got, None)}")
+                    f"failure pair, got {Dist._from_ints(k.names, *got, got[1])}")
     return CheckResult(True)
 
 

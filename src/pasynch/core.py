@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -83,11 +84,11 @@ def _base_fraction(base: int, num: int, den: int) -> Fraction:
     """`num / den` for a `den` whose primes all divide `base`, reduced over
     `base` as in `semantics.Kernel.advance`: each round is a gcd with a
     small number, where `Fraction(num, den)` runs one on two big ones."""
-    g = math.gcd(base, num, den)
+    g = gcd(base, num, den)
     while g != 1:
         num //= g
         den //= g
-        g = math.gcd(g, num, den)
+        g = gcd(g, num, den)
     return _coprime_fraction(num, den)
 
 
@@ -118,11 +119,11 @@ class Dist:
 
     @classmethod
     def _from_ints(cls, names: tuple[str, ...], nums: tuple[int, ...], den: int,
-                   base: int | None, norm: Fraction | None = None) -> "Dist":
+                   base: int, norm: Fraction | None = None) -> "Dist":
         """Mass `nums[i] / den` on `names[i]`, trusted to lie in [0, 1].
 
         When the map is first read, each mass is reduced over `base`, which
-        every prime of `den` divides, or by `Fraction` if `base` is None.
+        every prime of `den` divides (`den` itself always qualifies).
         `norm`, if the caller already made it, is `max(nums) / den`; the
         map reuses that object for the largest entries.
         """
@@ -145,8 +146,7 @@ class Dist:
             raise AttributeError(name)
         names, nums, den, base, norm = self._ints
         top = -1 if norm is None else max(nums)
-        self._mass = mass = {q: norm if x == top else Fraction(x, den) if base is None
-                             else _base_fraction(base, x, den)
+        self._mass = mass = {q: norm if x == top else _base_fraction(base, x, den)
                              for q, x in zip(names, nums) if x}
         del self._ints
         return mass

@@ -185,8 +185,8 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     k = Kernel.of(pa)
     v, den = k.advance(k.ints(d), letter)
     g = gcd(den, *v)  # the primes of `d` outside the kernel's base
-    # one can still divide a single mass, so no base is given for the masses
-    return Dist._from_ints(k.names, tuple(x // g for x in v), den // g, None)
+    # one can still divide a single mass, so the masses are reduced over `den`
+    return Dist._from_ints(k.names, tuple(x // g for x in v), den // g, den // g)
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:

@@ -80,6 +80,53 @@ def random_word(rng: random.Random, alphabet, max_len: int, min_len: int = 0) ->
     return tuple(rng.choice(alphabet) for _ in range(length))
 
 
+# small, prime powers, two large primes, a product of three primes
+DENOMINATORS = (
+    lambda rng: rng.randint(1, 8),
+    lambda rng: 2 ** rng.randint(0, 12),
+    lambda rng: 3 ** rng.randint(0, 8),
+    lambda rng: 1000003,
+    lambda rng: 2 ** 61 - 1,
+    lambda rng: 97 * 89 * 83,
+)
+
+
+def _composition(rng, states, den, short: bool):
+    """Masses n_i / den on `states`; they sum to 1, or below 1 when `short`."""
+    total = rng.randint(0, den - 1) if short and den > 1 else den
+    cuts = sorted(rng.randint(0, total) for _ in range(len(states) - 1))
+    bounds = [0, *cuts, total]
+    return {q: Fraction(bounds[i + 1] - bounds[i], den)
+            for i, q in enumerate(states) if bounds[i + 1] > bounds[i]}
+
+
+def family_pa(rng: random.Random) -> Pa:
+    """A random automaton of 1-6 states over 1-3 letters whose rows draw
+    their denominators from one to three of the `DENOMINATORS` families;
+    in about 30% of them, rows may sum below 1."""
+    n = rng.randint(1, 6)
+    states = tuple(f"q{i}" for i in range(n))
+    letters = ("a", "b", "c")[:rng.randint(1, 3)]
+    families = rng.sample(DENOMINATORS, rng.randint(1, 3))
+    short = rng.random() < 0.3
+
+    def dist(may_be_short):
+        den = rng.choice(families)(rng)
+        return _composition(rng, states, den, may_be_short and rng.random() < 0.5)
+
+    delta = {(q, a): dist(short) for q in states for a in letters}
+    return Pa(states, letters, dist(False), delta, rng.sample(states, rng.randint(0, n)))
+
+
+def corrupted(c: TwinPa, state: str, letter: str, row: dict) -> TwinPa:
+    """Replace one delta row of a twin, keeping the role metadata."""
+    delta = dict(c.pa.delta)
+    delta[(state, letter)] = Dist(row)
+    pa = Pa(c.pa.states, c.pa.alphabet, c.pa.initial, delta, c.pa.accepting)
+    return TwinPa(pa=pa, twin_of=dict(c.twin_of), hash=c.hash, q0=c.q0,
+                  q0_hat=c.q0_hat, q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
+
+
 def scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
     """Every word up to `max_len` in shortest-then-lex order, with its
     acceptance probability from the matrix oracle."""

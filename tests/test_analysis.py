@@ -26,6 +26,7 @@ from pasynch import (
 from pasynch.analysis import _shortlex_scan, _word_at, _word_count
 from pasynch.semantics import Kernel
 from helpers import (
+    corrupted,
     random_dist,
     random_pa,
     random_value1_instance,
@@ -34,7 +35,6 @@ from helpers import (
     reference_search,
     scored_shortlex,
 )
-from test_reduction import corrupted
 
 HALF = Fraction(1, 2)
 

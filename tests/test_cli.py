@@ -28,9 +28,7 @@ from pasynch import (
 )
 from pasynch import core
 from pasynch.cli import _build_parser, main
-from helpers import reference_outcome
-from test_reduction import corrupted
-from test_semantics import _family_pa
+from helpers import corrupted, family_pa, reference_outcome
 
 
 def _write_fixtures(tmp_path):
@@ -383,7 +381,7 @@ def test_trace_and_lasso_csv_match_fraction_stepping(tmp_path):
     rng = random.Random(59)
     out, path = tmp_path / "out.csv", str(tmp_path / "pa.pa")
     for _ in range(25):
-        pa = _family_pa(rng)
+        pa = family_pa(rng)
         if not pa.validate().ok:
             continue
         save_pa(pa, path)

@@ -13,7 +13,6 @@ from pasynch import (
     InputError,
     LiftedPa,
     Pa,
-    TwinPa,
     Value1Instance,
     acceptance_probability,
     b_half,
@@ -28,6 +27,7 @@ from pasynch import (
     twin,
 )
 from helpers import (
+    corrupted,
     random_dist,
     random_value1_instance,
     random_word,
@@ -36,15 +36,6 @@ from helpers import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def corrupted(c: TwinPa, state: str, letter: str, row: dict) -> TwinPa:
-    """Replace one delta row of a twin, keeping the role metadata."""
-    delta = dict(c.pa.delta)
-    delta[(state, letter)] = Dist(row)
-    pa = Pa(c.pa.states, c.pa.alphabet, c.pa.initial, delta, c.pa.accepting)
-    return TwinPa(pa=pa, twin_of=dict(c.twin_of), hash=c.hash, q0=c.q0,
-                  q0_hat=c.q0_hat, q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
 
 
 class TestLift:

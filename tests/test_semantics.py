@@ -33,6 +33,7 @@ from pasynch import (
 from pasynch.core import _coprime_fraction
 from pasynch.semantics import Kernel, lasso_stream
 from helpers import (
+    family_pa,
     random_dist,
     random_pa,
     random_word,
@@ -313,41 +314,6 @@ def test_step_reduces_primes_outside_the_kernel_base():
 
 # -- reduction over the kernel's base: lowest terms for every denominator family
 
-# small, prime powers, two large primes, a product of three primes
-DENOMINATORS = (
-    lambda rng: rng.randint(1, 8),
-    lambda rng: 2 ** rng.randint(0, 12),
-    lambda rng: 3 ** rng.randint(0, 8),
-    lambda rng: 1000003,
-    lambda rng: 2 ** 61 - 1,
-    lambda rng: 97 * 89 * 83,
-)
-
-
-def _composition(rng, states, den, short: bool):
-    """Masses n_i / den on `states`; they sum to 1, or below 1 when `short`."""
-    total = rng.randint(0, den - 1) if short and den > 1 else den
-    cuts = sorted(rng.randint(0, total) for _ in range(len(states) - 1))
-    bounds = [0, *cuts, total]
-    return {q: Fraction(bounds[i + 1] - bounds[i], den)
-            for i, q in enumerate(states) if bounds[i + 1] > bounds[i]}
-
-
-def _family_pa(rng):
-    n = rng.randint(1, 6)
-    states = tuple(f"q{i}" for i in range(n))
-    letters = ("a", "b", "c")[:rng.randint(1, 3)]
-    families = rng.sample(DENOMINATORS, rng.randint(1, 3))
-    short = rng.random() < 0.3
-
-    def dist(may_be_short):
-        den = rng.choice(families)(rng)
-        return _composition(rng, states, den, may_be_short and rng.random() < 0.5)
-
-    delta = {(q, a): dist(short) for q in states for a in letters}
-    return Pa(states, letters, dist(False), delta, rng.sample(states, rng.randint(0, n)))
-
-
 def _assert_same_fraction(got, want):
     assert type(got) is Fraction
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
@@ -362,7 +328,7 @@ def _assert_same_fraction(got, want):
 @settings(max_examples=60, deadline=None)
 def test_walk_pairs_are_lowest_terms_over_every_denominator_family(seed):
     rng = random.Random(seed)
-    pa = _family_pa(rng)
+    pa = family_pa(rng)
     k = Kernel.of(pa)
     word = random_word(rng, pa.alphabet, 40)
     pairs = list(k.walk(word))
@@ -387,7 +353,7 @@ def test_weights_step_back_like_the_matrix_oracle(seed):
     # P(u·x) = <v, w_x> / (D * L_x) for the pair (v, D) of u and the
     # weights of x, built one letter back at a time, up to three letters
     rng = random.Random(seed)
-    pa = _family_pa(rng)
+    pa = family_pa(rng)
     k = Kernel.of(pa)
     u = random_word(rng, pa.alphabet, 6)
     v, den = list(k.walk(u))[-1]
