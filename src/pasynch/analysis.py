@@ -15,7 +15,6 @@ from typing import Iterator, Sequence
 from .core import (
     CheckResult,
     Dist,
-    HALF,
     InputError,
     ONE,
     Pa,
@@ -252,15 +251,10 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
 
     qn, qn_hat, qf = c.q_n, c.q_n_hat, c.q_f
     k = Kernel.of(c.pa)
-    # Not a pair of the walk, so its primes need not divide the kernel's
-    # base (see `Kernel.advance`). They do on a twin built by `twin`:
-    # every letter sends the success sink's mass into the failure pair,
-    # halved, so every L_a is even. Where the base is odd, a step from it
-    # can keep one spare factor 2, but only in a pair whose masses have
-    # an odd denominator, which differs from this one either way; its
-    # `Dist` reduces its masses over its own denominator, so they lose
-    # that factor too.
-    sink_pair = k.ints(Dist({qn: HALF, qn_hat: HALF}))
+    # 1/2 on each failure-pair member, in lowest terms. The second sweep
+    # steps from it only once the first sweep's pairs all equalled it, so
+    # then 2 divides the base, as `Kernel.advance` requires.
+    sink_pair = tuple(int(q in (qn, qn_hat)) for q in k.names), 2
     run = list(k.walk(w))
 
     d = k.dist(run[j + 1])
@@ -288,7 +282,7 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
                 return CheckResult(
                     False,
                     f"step {position} via {a!r}: expected the half/half "
-                    f"failure pair, got {Dist._from_ints(k.names, *got, got[1])}")
+                    f"failure pair, got {k.dist(got)}")
     return CheckResult(True)
 
 

@@ -119,16 +119,14 @@ class Dist:
 
     @classmethod
     def _from_ints(cls, names: tuple[str, ...], nums: tuple[int, ...], den: int,
-                   base: int, norm: Fraction | None = None) -> "Dist":
+                   base: int) -> "Dist":
         """Mass `nums[i] / den` on `names[i]`, trusted to lie in [0, 1].
 
         When the map is first read, each mass is reduced over `base`, which
         every prime of `den` divides (`den` itself always qualifies).
-        `norm`, if the caller already made it, is `max(nums) / den`; the
-        map reuses that object for the largest entries.
         """
         d = cls.__new__(cls)
-        d._ints = (names, nums, den, base, norm)
+        d._ints = (names, nums, den, base)
         return d
 
     @classmethod
@@ -144,10 +142,8 @@ class Dist:
         # only reached while the `_mass` slot of a `_from_ints` distribution is unset
         if name != "_mass":
             raise AttributeError(name)
-        names, nums, den, base, norm = self._ints
-        top = -1 if norm is None else max(nums)
-        self._mass = mass = {q: norm if x == top else _base_fraction(base, x, den)
-                             for q, x in zip(names, nums) if x}
+        names, nums, den, base = self._ints
+        self._mass = mass = {q: _base_fraction(base, x, den) for q, x in zip(names, nums) if x}
         del self._ints
         return mass
 

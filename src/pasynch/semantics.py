@@ -107,10 +107,10 @@ class Kernel:
             v[self._index[q]] = p.numerator * (den // p.denominator)
         return tuple(v), den
 
-    def dist(self, pair: Ints, norm: Fraction | None = None) -> Dist:
+    def dist(self, pair: Ints) -> Dist:
         """`pair`, whose primes all divide the base, as a `Dist` whose masses
         are reduced over the base."""
-        return Dist._from_ints(self.names, *pair, self._base, norm)
+        return Dist._from_ints(self.names, *pair, self._base)
 
     def fraction(self, num: int, den: int) -> Fraction:
         """`num / den` for a denominator `den` of this kernel's pairs,
@@ -262,8 +262,7 @@ def _trace_entries(pa: Pa, word: Iterable[str]) -> Iterator[TraceEntry]:
     pair = k.start
     for i, a in enumerate(word, start=1):
         pair = k.advance(pair, a)
-        norm = k.norm(pair)
-        yield TraceEntry(i, a, k.dist(pair, norm), norm)
+        yield TraceEntry(i, a, k.dist(pair), k.norm(pair))
 
 
 def trace_stream(pa: Pa, word: Sequence[str]) -> TraceStream:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from pasynch import (
@@ -19,7 +18,6 @@ from pasynch import (
     Value1Instance,
     Word,
     ZERO,
-    matrix_oracle,
     outcome,
 )
 
@@ -129,12 +127,28 @@ def corrupted(c: TwinPa, state: str, letter: str, row: dict) -> TwinPa:
 
 def scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:
     """Every word up to `max_len` in shortest-then-lex order, with its
-    acceptance probability from the matrix oracle."""
+    acceptance probability. As in `matrix_oracle`, each letter is a dense
+    `Fraction` matrix, built once; each word's mass vector is its
+    parent's times its last letter's matrix, so no word is simulated
+    from the start and `Kernel` plays no part."""
+    n = len(pa.states)
+    index = {q: i for i, q in enumerate(pa.states)}
+    matrices = []
+    for a in pa.alphabet:
+        m = [[ZERO] * n for _ in range(n)]
+        for q in pa.states:
+            for target, p in pa.row(q, a).items():
+                m[index[q]][index[target]] = p
+        matrices.append((a, m))
+    accepting = [index[q] for q in pa.accepting]
+    layer = [((), [pa.initial.mass(q) for q in pa.states])]  # (word, vector), in lex order
     scored = []
-    for n in range(max_len + 1):
-        for word in product(pa.alphabet, repeat=n):
-            final = matrix_oracle(pa, word)[-1]
-            scored.append((word, sum((final.mass(q) for q in pa.accepting), Fraction(0))))
+    for length in range(max_len + 1):
+        scored.extend((word, sum((vec[i] for i in accepting), ZERO)) for word, vec in layer)
+        if length < max_len:
+            layer = [(word + (a,), [sum((vec[r] * m[r][col] for r in range(n) if vec[r]), ZERO)
+                                    for col in range(n)])
+                     for word, vec in layer for a, m in matrices]
     return scored
 
 

@@ -185,8 +185,8 @@ class TestSharedScan:
     def test_twins_match_brute_force_reference(self):
         for instance in (b_half(), b_one()):
             b = Value1Instance(twin(lift(instance)).pa, require_dirac=False)
-            scored = scored_shortlex(b.pa, 5)
-            for max_len in range(6):
+            scored = scored_shortlex(b.pa, 7)  # the coin twin's depth in the benchmark
+            for max_len in range(8):
                 assert (bounded_value_search(b, max_len)
                         == reference_search(b, max_len, scored))
                 for k in (1, 3, 5):

@@ -3,7 +3,10 @@ import contextlib
 import io
 import os
 import random
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings
@@ -13,7 +16,9 @@ from pasynch import (
     CheckResult,
     InputError,
     NormTrace,
+    Pa,
     TraceEntry,
+    TwinPa,
     b_half,
     b_one,
     dollar_absorption_check,
@@ -127,6 +132,30 @@ def test_lift_twin_pipeline(files, tmp_path, capsys):
     assert restored.pa == twin(lift(b_one())).pa
 
 
+def test_pipeline_in_separate_processes(tmp_path):
+    # `python -m pasynch` as real processes, from a `.pa` file to a certificate
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def pasynch(*argv):
+        done = subprocess.run([sys.executable, "-m", "pasynch", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    source, lifted, twinned = (str(tmp_path / name) for name in ("b.pa", "lift.pa", "twin.pa"))
+    save_pa(b_one().pa, source)
+    pasynch("lift", source, "-o", lifted)
+    pasynch("twin", lifted, "-o", twinned)
+    lines = pasynch("schedule", source, "--k", "3", "--max-len", "3").splitlines()
+    assert [line.partition(": ")[0] for line in lines] == ["u1", "u2", "u3"]
+    # each printed word "u<i>: a.b" is certified with the commit letter appended
+    schedule = ",".join(".".join(filter(None, (line.partition(": ")[2], "@sym:$")))
+                        for line in lines)
+    assert pasynch("certify", twinned, "--schedule", schedule).splitlines()[-1] == "PASS"
+
+
 def test_twin_requires_lift_metadata(files, capsys):
     assert main(["twin", files["b_one"], "-o", "/dev/null"]) == 2
     assert "no lift metadata" in capsys.readouterr().err
@@ -230,6 +259,106 @@ def test_missing_metadata_block_is_input_error(files, capsys, argv, bad, block):
     assert capsys.readouterr().err == f"error: {files[bad]} carries no {block} metadata block\n"
 
 
+# a letter "b" in the lift of b_one, with a row for every state
+_ADD_LETTER_B = [("letters: a @sym:$", "letters: a @sym:$ b"),
+                 ("lift.qf:", "row: s0 b s0 1\nrow: sA b sA 1\nrow: @lift:qf b @lift:qn 1\n"
+                              "row: @lift:qn b @lift:qn 1\nlift.qf:")]
+_PAIRS = ("twin.pair: s0 @twin:s0\n", "twin.pair: sA @twin:sA\n",
+          "twin.pair: @lift:qn @twin:@lift:qn\n")
+_CERTIFY = ["certify", "FILE", "--schedule", "a"]
+_TWIN = ["twin", "FILE", "-o", "OUT"]
+
+
+@pytest.mark.parametrize("name, edits, argv, message", (
+    # parse_pa
+    ("b_one", [("initial: s0 1", "initial:")], ["validate", "FILE"],
+     "line 4: initial distribution needs at least one state/probability pair"),
+    ("b_one", [("initial: s0 1", "initial: s0 1/2 s0 1/2")], ["validate", "FILE"],
+     "line 4: initial distribution mentions 's0' twice"),
+    ("b_one", [("row: s0 a sA 1", "row: s0 a sA 1/2 sA 1/2")], ["validate", "FILE"],
+     "line 6: row mentions 'sA' twice"),
+    ("b_one", [("states: s0 sA", "states:")], ["validate", "FILE"],
+     "line 2: at least one state is required"),
+    ("b_one", [("letters: a", "letters: a a")], ["validate", "FILE"],
+     "line 3: duplicate letters"),
+    ("b_one_twin", [(pair, "") for pair in _PAIRS], _CERTIFY,
+     "twin metadata incomplete: no twin.pair lines"),
+    ("b_one_twin", [("twin.pair: s0 @twin:s0", "twin.pair: s0")], _CERTIFY,
+     "line 33: twin.pair needs ORIGINAL HAT"),
+    ("b_one_twin", [(_PAIRS[1], _PAIRS[1] * 2)], _CERTIFY,
+     "line 35: duplicate twin.pair entry for 'sA'/'@twin:sA'"),
+    ("b_one_twin", [(_PAIRS[1], "twin.pair: sA @twin:s0\n")], _CERTIFY,  # a hat named twice
+     "line 34: duplicate twin.pair entry for 'sA'/'@twin:s0'"),
+    # LiftedPa roles
+    ("b_one_lift", [("lift.qf: @lift:qf", "lift.qf: nosuch")], _TWIN,
+     "success sink 'nosuch' is not a state"),
+    ("b_one_lift", [("lift.qn: @lift:qn", "lift.qn: nosuch")], _TWIN,
+     "failure sink 'nosuch' is not a state"),
+    ("b_one_lift", [("lift.qn: @lift:qn", "lift.qn: @lift:qf")], _TWIN,
+     "success and failure sinks must differ"),
+    ("b_one_lift", [("lift.dollar: @sym:$", "lift.dollar: nosuch")], _TWIN,
+     "commit letter 'nosuch' is not in the alphabet"),
+    ("b_one_lift", [("lift.source: s0 sA", "lift.source: s0 sA nosuch")], _TWIN,
+     "source states must be states of the automaton"),
+    ("b_one_lift", [("lift.source: s0 sA", "lift.source: s0 sA @lift:qn")], _TWIN,
+     "sinks cannot be source states"),
+    # TwinPa roles
+    ("b_one_twin", [("twin.pair: s0 @twin:s0", "twin.pair: s0 sA")], _CERTIFY,
+     "a state cannot be both an original and a hat"),
+    ("b_one_twin", [(_PAIRS[1], "")], _CERTIFY,
+     "twin map must cover every state except the success sink"),
+    ("b_one_twin", [("twin.q0: s0", "twin.q0: nosuch")], _CERTIFY,
+     "start state 'nosuch' missing from the twin map"),
+    ("b_one_twin", [("twin.qn: @lift:qn", "twin.qn: nosuch")], _CERTIFY,
+     "failure sink state 'nosuch' missing from the twin map"),
+    ("b_one_twin", [("twin.q0hat: @twin:s0", "twin.q0hat: @twin:sA")], _CERTIFY,
+     "q0_hat must be the hat of q0"),
+    ("b_one_twin", [("twin.hash: @sym:#", "twin.hash: nosuch")], _CERTIFY,
+     "reset letter 'nosuch' is not in the alphabet"),
+    ("b_one_twin", [("twin.dollar: @sym:$", "twin.dollar: nosuch")], _CERTIFY,
+     "commit letter 'nosuch' is not in the alphabet"),
+    ("b_one_twin", [("twin.hash: @sym:#", "twin.hash: @sym:$")], _CERTIFY,
+     "reset and commit letters must differ"),
+    # _require_lifted and the start state, through `twin`
+    ("b_one_lift", [("accepting: @lift:qf", "accepting: sA @lift:qf")], _TWIN,
+     "accepting set must be exactly the success sink"),
+    ("b_one_lift", [("lift.source: s0 sA", "lift.source: s0")], _TWIN,
+     "states must be the source states plus the two sinks"),
+    ("b_one_lift", [("row: s0 @sym:$ @lift:qn 1", "row: s0 @sym:$ @lift:qn 1/2 @lift:qf 1/2")],
+     _TWIN, "commit row of 's0' must be concentrated on one sink, got ['@lift:qf', '@lift:qn']"),
+    ("b_one_lift", [("row: @lift:qf a @lift:qn 1", "row: @lift:qf a @lift:qf 1")], _TWIN,
+     "sink row (@lift:qf,a) must go to the failure sink"),
+    ("b_one_lift", [("initial: s0 1", "initial: s0 1/2 sA 1/2")], _TWIN,
+     "twinning needs an initial distribution concentrated on one state"),
+    ("b_one_lift", [("initial: s0 1", "initial: @lift:qf 1")], _TWIN,
+     "the start state cannot be the success sink"),
+    # a twin checked against a lift it was not built from
+    ("b_one_twin", [("twin.hash: @sym:#", "twin.hash: @sym:$"),
+                    ("twin.dollar: @sym:$", "twin.dollar: @sym:#")],
+     ["check-p2", "b_one_lift", "FILE", "--word", "a"],
+     "role mismatch: the twin does not belong to this lifted automaton"),
+    ("b_one_twin", [], ["check-p2", "b_one_lift", "b_half_twin", "--word", "a"],
+     "twin map does not cover the lifted automaton's states"),
+    ("b_one_lift", _ADD_LETTER_B,
+     ["check-p2", "FILE", "b_one_twin", "--word", "a"],
+     "alphabet mismatch between lifted automaton and twin"),
+    ("b_one", [], ["schedule", "FILE", "--k", "0", "--max-len", "3"], "k must be >= 1, got 0"),
+))
+def test_input_errors_name_their_cause(files, tmp_path, capsys, name, edits, argv, message):
+    # `name`'s document with each `old` text replaced by `new` is FILE
+    with open(files[name], encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    edited, out = tmp_path / "edited.pa", tmp_path / "out.pa"
+    edited.write_text(text, encoding="utf-8")
+    paths = {**files, "FILE": str(edited), "OUT": str(out)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_absorb(files, capsys):
     assert main(["absorb", files["b_one_twin"], "--prefix", "a.@sym:$",
                  "--horizon", "5"]) == 0
@@ -250,6 +379,17 @@ def test_absorb_precondition(files, capsys):
      "step 2: failure pair unbalanced (1/2 vs 0)"),
     (("@lift:qf", "a", {"@lift:qn": 1}), "a.@sym:$.a",
      "step 3: expected the half/half failure pair, got Dist({@lift:qn: 1})"),
+    # past the prefix: the first sweep steps from the success sink, the
+    # second from the failure pair
+    (("@lift:qf", "a", {"@lift:qn": 1}), "a.@sym:$",
+     "step 3 via 'a': expected the half/half failure pair, got Dist({@lift:qn: 1})"),
+    (("@lift:qn", "a", {"@lift:qn": 1}), "a.@sym:$",
+     "step 4 via 'a': expected the half/half failure pair, "
+     "got Dist({@lift:qn: 3/4, @twin:@lift:qn: 1/4})"),
+    # a pair (2, 1, 1) / 4: each mass is written in lowest terms
+    (("@lift:qf", "a", {"@lift:qn": "1/2", "@twin:@lift:qn": "1/4", "s0": "1/4"}), "a.@sym:$",
+     "step 3 via 'a': expected the half/half failure pair, "
+     "got Dist({@lift:qn: 1/2, @twin:@lift:qn: 1/4, s0: 1/4})"),
 ])
 def test_absorb_failures(tmp_path, capsys, row, prefix, reason):
     bad = corrupted(twin(lift(b_one())), *row)
@@ -259,6 +399,42 @@ def test_absorb_failures(tmp_path, capsys, row, prefix, reason):
     save_pa(bad, path)
     assert main(["absorb", path, "--prefix", prefix, "--horizon", "3"]) == 1
     assert capsys.readouterr() == (f"FAIL: {reason}\n", "")
+
+
+def _odd_base_twin() -> TwinPa:
+    """The twin of `b_one` with every half/half split made 1/3 and 2/3, so
+    that every denominator, and so the kernel's base, is odd."""
+    c = twin(lift(b_one()))
+
+    def thirds(d):
+        (q, _), *rest = d.items()
+        return {q: Fraction(1, 3), rest[0][0]: Fraction(2, 3)} if rest else d
+
+    pa = Pa(c.pa.states, c.pa.alphabet, thirds(c.pa.initial),
+            {key: thirds(row) for key, row in c.pa.delta.items()}, c.pa.accepting)
+    return TwinPa(pa=pa, twin_of=dict(c.twin_of), hash=c.hash, q0=c.q0,
+                  q0_hat=c.q0_hat, q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
+
+
+@pytest.mark.parametrize("horizon", (0, 1, 3, 100))
+@pytest.mark.parametrize("prefix, reason", (
+    ("a.@sym:$", "step 3 via 'a': expected the half/half failure pair, "
+                 "got Dist({@lift:qn: 1/3, @twin:@lift:qn: 2/3})"),
+    ("a.@sym:$.a.a", "step 3: expected the half/half failure pair, "
+                     "got Dist({@lift:qn: 1/3, @twin:@lift:qn: 2/3})"),
+))
+def test_absorb_on_an_odd_base(tmp_path, capsys, prefix, reason, horizon):
+    # no pair over an odd base is the half/half failure pair; at horizon 0
+    # only the step after the commit letter is checked, where all mass
+    # sits on the success sink
+    c = _odd_base_twin()
+    expected = CheckResult(True) if horizon == 0 else CheckResult(False, reason)
+    assert dollar_absorption_check(c, prefix.split("."), horizon) == expected
+    path = str(tmp_path / "odd.pa")
+    save_pa(c, path)
+    assert main(["absorb", path, "--prefix", prefix, "--horizon", str(horizon)]) == (
+        0 if expected else 1)
+    assert capsys.readouterr() == ("PASS\n" if expected else f"FAIL: {reason}\n", "")
 
 
 def test_absorb_negative_horizon(files, capsys):

@@ -331,6 +331,17 @@ def test_trace_csv_layout():
     assert lines[2] == "1,a,1,0,1"
 
 
+@pytest.mark.parametrize("text, message", (
+    ("", "empty trace CSV"),
+    ("step,letter,mass,s0\n", "unexpected trace header ['step', 'letter', 'mass']"),
+    ("step,letter,norm,s0,sA\n0,,1,1,0\n1,a,1,0\n", "trace row has 4 fields, header has 5"),
+))
+def test_read_trace_csv_format_errors(text, message):
+    with pytest.raises(FormatError) as err:
+        read_trace_csv(io.StringIO(text))
+    assert str(err.value) == message
+
+
 _FUZZ_DOCS = [serialize_pa(obj).splitlines()
               for obj in (b_one().pa, lift(b_half()), twin(lift(b_one())))]
 _FUZZ_TOKENS = sorted({"0", "2/4", "3/2", "-1", "1/0", "x"}.union(

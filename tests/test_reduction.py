@@ -257,6 +257,27 @@ class TestImmutableTwin:
             other.q0 = "nosuch"
 
 
+def _sink_paired_with_a_new_state(c):
+    """`c` with one more state "x", looping on every letter, as the
+    success sink's hat."""
+    delta = {**c.pa.delta, **{("x", a): {"x": 1} for a in c.pa.alphabet}}
+    pa = Pa(c.pa.states + ("x",), c.pa.alphabet, c.pa.initial, delta, c.pa.accepting)
+    return dataclasses.replace(c, pa=pa, twin_of={**c.twin_of, c.q_f: "x"})
+
+
+@pytest.mark.parametrize("build, message", (
+    # no metadata edit of a twin document reaches either error: `parse_pa`
+    # refuses a hat named twice, and pairing the success sink needs a new state
+    (lambda c: dataclasses.replace(c, twin_of={**c.twin_of, "sA": c.q0_hat}),
+     "twin map must be a bijection"),
+    (_sink_paired_with_a_new_state, "the success sink has no twin"),
+))
+def test_twin_role_errors_no_metadata_edit_reaches(build, message):
+    with pytest.raises(InputError) as err:
+        build(twin(lift(b_one())))
+    assert str(err.value) == message
+
+
 class TestCheckP1:
     def test_empty_words_pass(self):
         c = twin(lift(b_one()))
