@@ -23,7 +23,7 @@ from .core import (
     ZERO,
 )
 from .reduction import TwinPa, Value1Instance, build_witness_prefix
-from .semantics import Kernel
+from .semantics import Ints, Kernel
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -106,44 +106,74 @@ def _beats_rung(num: int, den: int, i: int) -> bool:
     return num << i > den * ((1 << i) - 1)
 
 
+def _suffix_depth(n_letters: int, max_len: int) -> int:
+    """The suffix depth `d` of `_shortlex_scan`: see the rule there."""
+    d, budget = min(2, max_len), 2 * _word_count(n_letters, max_len)
+    while d < max_len and _word_count(n_letters, d + 1) ** 2 <= budget:
+        d += 1
+    return d
+
+
+def _dominated(w: Ints, kept: list[Ints]) -> bool:
+    """`w` is componentwise at most some vector of `kept`, as fractions."""
+    x, den_x = w
+    for y, den in kept:
+        for a, b in zip(x, y):
+            if a * den > b * den_x:
+                break
+        else:
+            return True
+    return False
+
+
 def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     """Yield (shortlex rank, accepting numerator, denominator) in rank order.
 
-    Each stepped layer maps a kernel pair to the lex index of the first
-    word of its length that reached it, and only that word is extended.
-    Equal pairs have equal futures, and the first word's extensions come
-    first in shortlex order, so every word skipped has an earlier yielded
-    word with the same probability.
+    Acceptance after `u·x` is `<v_u, w_x> / (D_u * L_x)` (see `Kernel`),
+    so a word is split into a stepped prefix and a scored suffix. Layers
+    are stepped up to `h = max_len - d`, keeping one word per kernel pair,
+    the first to reach it, as equal pairs have equal futures. `d` starts
+    at `min(2, max_len)` and grows by one while (words up to `d + 1`)² <=
+    2 * (words up to `max_len`), so the dominance tests below stay at
+    about one per word.
 
-    Layers are stepped up to `h = max(max_len - 2, 0)` only. A word `u·a`
-    of length at most `h + 1` is scored from its parent's pair `(v, D)`
-    as `(<v, w_a>, D * L_a)` with `Kernel.weights`; a word `u·a·b` of
-    length `h + 2` from its grandparent's, with the two-letter weights
-    `w_ab` made when that length is reached, at rank `offset + index * n²
-    + j` for the lex index `j` of `a·b`. So a word under a duplicate pair
-    of layer `max_len - 1` gets a score too, equal to an earlier word's.
-    The depth stays two: where many words reach one pair, the scores per
-    pair grow as n^depth, one alphabet factor over stepping at two. So:
+    `S_0` is the accepting indicator and `S_{m+1}` the weights of `a·x`,
+    `Kernel.weights(a, w_x)` for each kept `x` of `S_m`, in lex order, made
+    when first needed; a candidate componentwise at most a kept vector of
+    `S_0 .. S_{m+1}` is dropped. Words of length `l <= h` are scored from
+    layer `l - 1` with `S_1`, those of length `h + m` from layer `h` with
+    `S_m`. As every `M_a` is nonnegative, a dropped suffix stays dominated
+    under any prefix, so every skipped word has an earlier yielded word of
+    at least its probability: both searches find what a full scan finds.
 
     - the yielded pairs are not in lowest terms; compare them by
       cross-multiplication, never by equality of parts;
     - `pa` must be valid. Scoring skips the checks that `Kernel.advance`
       makes on malformed rows, which a validated automaton never fails.
     """
-    k = Kernel.of(pa)
-    n = len(pa.alphabet)
-    weights = [k.weights(a) for a in pa.alphabet]
+    k, n = Kernel.of(pa), len(pa.alphabet)
+    h = max_len - _suffix_depth(n, max_len)
+    kept = [(tuple(int(i in k.accepting) for i in range(len(k.names))), 1)]
+    suffixes, stride = [(0, kept[0])], 1  # the kept S_m as (lex index, weights), and n^m
     layer = {k.start: 0}
     yield 0, sum(map(k.start[0].__getitem__, k.accepting)), k.start[1]
     offset, width = 0, 1  # rank of the first word of a length, and their number
-    h = max(max_len - 2, 0)  # the last layer stepped
     for length in range(1, max_len + 1):
         offset, width, nxt = offset + width, width * n, {}
-        if length == h + 2:
-            weights = [k.weights(a, after) for a in pa.alphabet for after in weights]
+        if length == 1 or length > h + 1:  # m = max(length - h, 1) went up by one
+            suffixes, last = [], suffixes
+            for i, a in enumerate(pa.alphabet):
+                for j, after in last:
+                    w = k.weights(a, after)
+                    if not _dominated(w, kept):
+                        kept.append(w)
+                        suffixes.append((i * stride + j, w))
+            stride *= n
+            if not suffixes:  # nor is any longer one: nothing is left to yield
+                return
         for (v, den), index in layer.items():
-            rank = offset + index * len(weights)
-            for j, (w, den_w) in enumerate(weights):
+            rank = offset + index * stride
+            for j, (w, den_w) in suffixes:
                 yield rank + j, sum(map(mul, v, w)), den * den_w
         if length <= h:
             for pair, index in layer.items():

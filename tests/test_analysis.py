@@ -1,6 +1,7 @@
 """Search, certificates, absorption/half-bound checks, matrix oracle."""
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 
@@ -9,8 +10,11 @@ from pasynch import (
     CheckResult,
     Dist,
     InputError,
+    ONE,
     Pa,
     Value1Instance,
+    ZERO,
+    analysis,
     b_half,
     b_one,
     bounded_value_search,
@@ -23,7 +27,7 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from pasynch.analysis import _shortlex_scan, _word_at, _word_count
+from pasynch.analysis import _shortlex_scan, _suffix_depth, _word_at, _word_count
 from pasynch.semantics import Kernel
 from helpers import (
     corrupted,
@@ -195,14 +199,18 @@ class TestSharedScan:
 
     def test_only_the_first_word_to_reach_a_distribution_is_extended(self):
         b = _merging_instance()
-        # "b" reaches what "a" reached in the stepped layer 1, so "ba",
-        # "bb" (ranks 5, 6) and "baa" .. "bbb" (ranks 11 .. 14) are skipped
-        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 3)] == [0, 1, 2, 3, 4, 7, 8, 9, 10]
+        # at max_len 3 the suffix depth is 2 and layer 1 is stepped. "b"
+        # reaches what "a" reached there, so "ba" and "baa" (ranks 5, 11)
+        # are skipped although their suffixes "a" and "aa" are kept. The
+        # suffix "b" is dropped (w_b is the accepting indicator), so is
+        # every suffix ending in it, and "ba" is (w_ba <= w_aa): this skips
+        # "b", "ab", "aab" and "aba" (ranks 2, 4, 8, 9)
+        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 3)] == [0, 1, 3, 7]
         assert bounded_value_search(b, 3) == reference_search(b, 3)
         assert bounded_value_search(b, 3).best_word == ("a", "a")
         # at max_len 2 layer 1 is not stepped: its words are scored from
-        # layer 0 with two-letter weights, so "ba" and "bb" get scores too
-        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 2)] == list(range(7))
+        # layer 0 with the kept two-letter weights, which drop "ba"
+        assert [rank for rank, _, _ in _shortlex_scan(b.pa, 2)] == [0, 1, 3]
         assert bounded_value_search(b, 2) == reference_search(b, 2)
         for k in (1, 3):
             result = witness_schedule_search(b, k, 3)
@@ -211,8 +219,8 @@ class TestSharedScan:
 
     def test_scores_equal_the_matrix_oracle(self):
         # every yielded score is the oracle's probability of the word at
-        # its rank, every word skipped has an earlier yielded word of the
-        # same probability, and both searches equal the brute-force
+        # its rank, every word skipped has an earlier yielded word of at
+        # least its probability, and both searches equal the brute-force
         # references. Half the instances draw every row from a pool of
         # two, so that many words reach one distribution.
         rng = random.Random(41)
@@ -234,11 +242,11 @@ class TestSharedScan:
                     assert Fraction(num, den) == p
                     ranks.append(rank)
                 assert ranks == sorted(set(ranks)) and ranks[0] == 0
-                yielded, seen = set(ranks), set()
+                yielded, best = set(ranks), scored[0][1]
                 for rank, (_, p) in enumerate(scored):
                     if rank in yielded:
-                        seen.add(p)
-                    assert p in seen
+                        best = max(best, p)
+                    assert p <= best
                 assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
                 for k in (1, 3, 5):
                     assert (witness_schedule_search(b, k, max_len)
@@ -253,23 +261,138 @@ class TestSharedScan:
             delta[("s", a)] = {"s": Fraction(4 - j, 4), "t": Fraction(j, 4)}
             delta[("t", a)] = {"s": Fraction(3 - j, 4), "t": Fraction(1 + j, 4)}
         b = Value1Instance(Pa(("s", "t"), letters, {"t": 1}, delta, accepting=("t",)))
-        advance = Kernel.advance
-        for max_len in range(6):
+        advance, weights = Kernel.advance, Kernel.weights
+        for max_len in range(9):
             calls = []
             monkeypatch.setattr(Kernel, "advance",
                                 lambda k, pair, a: calls.append(a) or advance(k, pair, a))
+            monkeypatch.setattr(Kernel, "weights",
+                                lambda k, *args: calls.append(None) or weights(k, *args))
             ranks = [rank for rank, _, _ in _shortlex_scan(b.pa, max_len)]
             monkeypatch.undo()
-            assert ranks == list(range((3 ** (max_len + 1) - 1) // 2))
-            # one step per word of length 1 .. max_len - 2: layer size times
-            # |alphabet| for each layer below max_len - 2; the last two
-            # letters are scored with two-letter weights
-            assert len(calls) == sum(3 ** length * 3 for length in range(max_len - 2))
+            d = [0, 1, 2, 2, 2, 2, 3, 3, 4][max_len]
+            assert _suffix_depth(3, max_len) == d
+            h = max_len - d
+            # one step per word of length 1 .. h (3 + 9 + ... + 3^h); the
+            # last d letters are scored
+            assert len(calls) - calls.count(None) == [0, 0, 0, 3, 12, 39, 39, 120, 120][max_len]
+            # S_1 drops "a" (w_a <= the accepting indicator) and keeps "b"
+            # and "c"; each S_m, m >= 2, keeps 2 of its 6 candidates
+            assert calls.count(None) == [0, 3, 9, 9, 9, 9, 15, 15, 21][max_len]
+            assert ranks == sorted(set(ranks))
+            assert len(ranks) == 1 + sum(2 * 3 ** min(length - 1, h)
+                                         for length in range(1, max_len + 1))
 
     def test_one_letter_sweep_at_large_max_len(self):
         result = bounded_value_search(b_half(), 50_000)
         assert result.best_word == ("a",) and result.best_prob == HALF
         assert result.explored == 50_001
+
+
+def _pruned_instance(rng: random.Random, letters: str, kind: str) -> Value1Instance:
+    """A random 2-6-state instance rich in dominated suffixes: absorbing
+    `sinks`, rows drawn from a `pool` of two, or both; the start is a
+    random distribution in about half of them."""
+    states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
+    pool = [random_dist(rng, states) for _ in range(2)]
+    sinks = rng.sample(states, rng.randint(1, len(states) - 1)) if "sinks" in kind else ()
+    delta = {(q, a): {q: 1} if q in sinks else rng.choice(pool) if "pool" in kind
+             else random_dist(rng, states) for q in states for a in letters}
+    initial = {"q0": 1} if rng.random() < 0.5 else random_dist(rng, states)
+    accepting = rng.sample(states, rng.randint(1, len(states)))
+    return Value1Instance(Pa(states, tuple(letters), initial, delta, accepting),
+                          require_dirac=False)
+
+
+def _dense_weights(pa: Pa, letter: str, after: list[Fraction]) -> list[Fraction]:
+    """`M_letter · after` in `Fraction`s, each row read from `pa.row`, so
+    independently of `Kernel`."""
+    return [sum((p * after[pa.states.index(t)] for t, p in pa.row(q, letter).items()), ZERO)
+            for q in pa.states]
+
+
+class TestSuffixPruning:
+    """The scan scores suffixes from weight vectors and drops every vector
+    componentwise at most an earlier kept one."""
+
+    def test_searches_match_the_references_on_dominated_suffixes(self):
+        rng = random.Random(43)
+        for letters in ("a", "ab", "abc", "abcd", "abcde"):
+            for max_len in range(9):
+                if _word_count(len(letters), max_len) > 800:
+                    break
+                for kind in ("sinks", "pool", "sinks+pool"):
+                    b = _pruned_instance(rng, letters, kind)
+                    scored = scored_shortlex(b.pa, max_len)
+                    assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
+                    for k in (1, 2, 4, 8):
+                        assert (witness_schedule_search(b, k, max_len)
+                                == reference_schedule(b, k, max_len, scored))
+
+    def test_non_dirac_twins_match_the_references(self):
+        rng = random.Random(47)
+        for _ in range(6):
+            source = random_value1_instance(rng, max_states=3, max_letters=2, max_den=4)
+            b = Value1Instance(twin(lift(source)).pa, require_dirac=False)
+            max_len = 4 if len(b.pa.alphabet) == 4 else 6
+            scored = scored_shortlex(b.pa, max_len)
+            for n in range(max_len + 1):
+                assert bounded_value_search(b, n) == reference_search(b, n, scored)
+                for k in (1, 2, 4):
+                    assert witness_schedule_search(b, k, n) == reference_schedule(b, k, n, scored)
+
+    def test_every_dropped_suffix_is_below_an_earlier_kept_one(self, monkeypatch):
+        # replays the scan's candidates in its order (`a·x` for each letter
+        # `a`, then each kept `x` of the last length) on dense `Fraction`
+        # vectors, and checks the scan drops exactly the candidates that
+        # some earlier kept suffix dominates
+        rng = random.Random(53)
+        dominated = analysis._dominated
+        for case in range(60):
+            letters = ("ab", "abc", "abcd")[case % 3]
+            b = _pruned_instance(rng, letters, ("sinks", "pool", "plain")[case % 3 - 1])
+            pa = b.pa
+            max_len = {2: 8, 3: 6, 4: 6}[len(letters)]
+            calls = []
+            monkeypatch.setattr(analysis, "_dominated",
+                                lambda w, kept: calls.append((w, dominated(w, kept)))
+                                or calls[-1][1])
+            list(_shortlex_scan(pa, max_len))
+            monkeypatch.undo()
+            kept = [[ONE if q in pa.accepting else ZERO for q in pa.states]]
+            last = [kept[0]]
+            replayed = iter(calls)
+            for _ in range(_suffix_depth(len(letters), max_len)):
+                last = [w for w in (_dense_weights(pa, a, x) for a in letters for x in last)
+                        if self._check(next(replayed), w, kept)]
+                if not last:
+                    break
+            assert next(replayed, None) is None
+
+    @staticmethod
+    def _check(call, w, kept) -> bool:
+        """`call`, a recorded (weights, dropped) pair, matches the dense
+        vector `w`; appends `w` to `kept` unless dropped."""
+        (num, den), dropped = call
+        assert [Fraction(x, den) for x in num] == w
+        assert dropped == any(all(map(le, w, y)) for y in kept)
+        if not dropped:
+            kept.append(w)
+        return not dropped
+
+    def test_incomparable_suffixes_stay_within_the_depth(self, monkeypatch):
+        # the suffix weights (1/2 + (-1/3)^m / 2, 1/2 - (-1/3)^m / 2) of
+        # a^m are pairwise incomparable, so none is dropped and the scan
+        # makes one `weights` call per suffix length
+        third = Fraction(1, 3)
+        pa = Pa(("x", "y"), ("a",), {"x": 1},
+                {("x", "a"): {"x": third, "y": 2 * third},
+                 ("y", "a"): {"x": 2 * third, "y": third}}, accepting=("x",))
+        weights, calls = Kernel.weights, []
+        monkeypatch.setattr(Kernel, "weights", lambda k, *args: calls.append(1) or weights(k, *args))
+        result = bounded_value_search(Value1Instance(pa), 6000)
+        assert result.best_word == () and result.best_prob == 1 and result.explored == 6001
+        assert len(calls) == _suffix_depth(1, 6000) == 108
 
 
 class TestCertificate:
