@@ -137,14 +137,17 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     2 * (words up to `max_len`), so the dominance tests below stay at
     about one per word.
 
-    `S_0` is the accepting indicator and `S_{m+1}` the weights of `a·x`,
-    `Kernel.weights(a, w_x)` for each kept `x` of `S_m`, in lex order, made
-    when first needed; a candidate componentwise at most a kept vector of
-    `S_0 .. S_{m+1}` is dropped. Words of length `l <= h` are scored from
-    layer `l - 1` with `S_1`, those of length `h + m` from layer `h` with
-    `S_m`. As every `M_a` is nonnegative, a dropped suffix stays dominated
-    under any prefix, so every skipped word has an earlier yielded word of
-    at least its probability: both searches find what a full scan finds.
+    `S_0` holds the weights of the empty word, `Kernel.accept`, and
+    `S_{m+1}` the weights of `a·x`, `Kernel.weights(a, w_x)` for each kept
+    `x` of `S_m`, in lex order, made when first needed; a candidate
+    componentwise at most a kept vector of `S_0 .. S_{m+1}` is dropped.
+    Every word, the empty one included, is one dot product: the empty word
+    is layer 0 with `S_0`, words of length `1 <= l <= h + 1` are scored
+    from layer `l - 1` with `S_1`, and those of length `h + m` from layer
+    `h` with `S_m`. As every `M_a` is nonnegative, a dropped suffix stays
+    dominated under any prefix, so every skipped word has an earlier
+    yielded word of at least its probability: both searches find what a
+    full scan finds.
 
     - the yielded pairs are not in lowest terms; compare them by
       cross-multiplication, never by equality of parts;
@@ -153,13 +156,11 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     """
     k, n = Kernel.of(pa), len(pa.alphabet)
     h = max_len - _suffix_depth(n, max_len)
-    kept = [(tuple(int(i in k.accepting) for i in range(len(k.names))), 1)]
-    suffixes, stride = [(0, kept[0])], 1  # the kept S_m as (lex index, weights), and n^m
+    kept = [k.accept]
+    suffixes, stride = [(0, k.accept)], 1  # the kept S_m as (lex index, weights), and n^m
     layer = {k.start: 0}
-    yield 0, sum(map(k.start[0].__getitem__, k.accepting)), k.start[1]
     offset, width = 0, 1  # rank of the first word of a length, and their number
-    for length in range(1, max_len + 1):
-        offset, width, nxt = offset + width, width * n, {}
+    for length in range(max_len + 1):
         if length == 1 or length > h + 1:  # m = max(length - h, 1) went up by one
             suffixes, last = [], suffixes
             for i, a in enumerate(pa.alphabet):
@@ -175,11 +176,13 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
             rank = offset + index * stride
             for j, (w, den_w) in suffixes:
                 yield rank + j, sum(map(mul, v, w)), den * den_w
-        if length <= h:
+        if 0 < length <= h:
+            nxt = {}
             for pair, index in layer.items():
                 for j, a in enumerate(pa.alphabet):
                     nxt.setdefault(k.advance(pair, a), index * n + j)
             layer = nxt
+        offset, width = offset + width, width * n
 
 
 def _word_at(alphabet: Sequence[str], rank: int) -> Word:

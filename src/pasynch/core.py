@@ -155,8 +155,7 @@ class Dist:
         """Mass on `state`; 0 for states not mentioned."""
         return self._mass.get(state, ZERO)
 
-    def __getitem__(self, state: str) -> Fraction:
-        return self._mass.get(state, ZERO)
+    __getitem__ = mass
 
     def items(self) -> Iterable[tuple[str, Fraction]]:
         return self._mass.items()
@@ -222,6 +221,11 @@ class CheckResult:
         return self.ok
 
 
+def _frozen(self, name: str, value: object = None):
+    """`__setattr__` and `__delattr__` of an immutable class."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class Pa:
     """A complete probabilistic automaton.
 
@@ -255,9 +259,6 @@ class Pa:
                   frozenset(states), frozenset(alphabet), None, None)
         for name, value in zip(Pa.__slots__, values):
             object.__setattr__(self, name, value)
-
-    def _frozen(self, name: str, value: object = None):
-        raise AttributeError(f"Pa is immutable: cannot change {name!r}")
 
     __setattr__ = __delattr__ = _frozen
 
@@ -309,20 +310,14 @@ class Pa:
         if self._report is not None:
             return self._report
         v: list[str] = []
-        seen: set[str] = set()
-        for q in self.states:
-            if not q:
-                v.append("empty state name")
-            elif q in seen:
-                v.append(f"duplicate state name {q!r}")
-            seen.add(q)
-        seen = set()
-        for a in self.alphabet:
-            if not a:
-                v.append("empty letter")
-            elif a in seen:
-                v.append(f"duplicate letter {a!r}")
-            seen.add(a)
+        for what, names in (("state name", self.states), ("letter", self.alphabet)):
+            seen: set[str] = set()
+            for x in names:
+                if not x:
+                    v.append(f"empty {what}")
+                elif x in seen:
+                    v.append(f"duplicate {what} {x!r}")
+                seen.add(x)
 
         def verdict(d: Dist) -> tuple[list[str], Fraction | None]:
             # (targets outside the states, the total if it is not exactly 1)

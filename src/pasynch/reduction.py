@@ -37,9 +37,9 @@ from .core import (
     Dist,
     HALF,
     InputError,
-    ONE,
     Pa,
     Word,
+    _frozen,
 )
 from .semantics import Kernel
 
@@ -82,9 +82,6 @@ class Value1Instance:
             q0 = None
         object.__setattr__(self, "pa", pa)
         object.__setattr__(self, "q0", q0)
-
-    def _frozen(self, name: str, value: object = None):
-        raise AttributeError(f"Value1Instance is immutable: cannot change {name!r}")
 
     __setattr__ = __delattr__ = _frozen
 
@@ -249,7 +246,7 @@ def twin(a: LiftedPa) -> TwinPa:
     _require_lifted(a)
     pa = a.pa
     supp = pa.initial.support()
-    if len(supp) != 1 or pa.initial.norm() != ONE:
+    if len(supp) != 1:  # validated: one state of the support holds mass 1
         raise InputError("twinning needs an initial distribution concentrated on one state")
     q0 = next(iter(supp))
     if q0 == a.q_f:

@@ -36,17 +36,18 @@ class Kernel:
     and a reduction to lowest terms over the kernel's *base*, the lcm of
     the start denominator and every `L_a`: see `advance`. `norm` and
     `fraction` reduce the same way and build their `Fraction` without a
-    second gcd. `start` is the initial pair and `accepting` the accepting
-    states' indices. `Kernel.of` compiles each (immutable) `Pa` once, on
-    first use.
+    second gcd. `start` is the initial pair. `Kernel.of` compiles each
+    (immutable) `Pa` once, on first use.
 
     Acceptance after a word `x` is linear in the pair (Tzeng, 1992):
-    `P(d·x) = <v, w_x> / (D * L_x)` for `d = v / D`, and `weights` builds
-    `(w_x, L_x)` one letter back at a time, so the last letters of a word
-    can be scored without being stepped.
+    `P(d·x) = <v, w_x> / (D * L_x)` for `d = v / D`. `accept` is
+    `(w_ε, 1)`, the weights of the empty word: `w_ε[i]` is 1 exactly when
+    `names[i]` is accepting. `weights` builds `(w_x, L_x)` from it one
+    letter back at a time, so the last letters of a word can be scored
+    without being stepped.
     """
 
-    __slots__ = ("names", "start", "accepting", "_base", "_index", "_letters")
+    __slots__ = ("names", "start", "accept", "_base", "_index", "_letters")
 
     @classmethod
     def of(cls, pa: Pa) -> "Kernel":
@@ -67,13 +68,10 @@ class Kernel:
         self.names = tuple(names)
         self._index = index
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
-        compiled = {a: self._compile(a, letter_rows, unknown) for a, letter_rows in rows.items()}
+        self._letters = {a: self._compile(a, r, unknown) for a, r in rows.items()}
         self.start = self.ints(pa.initial)
-        self._base = base = lcm(self.start[1], *(c[0] for c in compiled.values()))
-        # also in each letter's tuple, so `advance` reads it without an attribute lookup
-        self._letters = {a: (den_a, base, columns, errors)
-                         for a, (den_a, columns, errors) in compiled.items()}
-        self.accepting = tuple(index[q] for q in pa.accepting if q in index)
+        self._base = lcm(self.start[1], *(c[0] for c in self._letters.values()))
+        self.accept = tuple(int(q in pa.accepting) for q in names), 1
 
     def _compile(self, letter: str, rows: list[Dist | None], unknown: list) -> tuple:
         entries = []  # (target, source, numerator, denominator)
@@ -135,14 +133,14 @@ class Kernel:
         distribution may carry primes outside the base; `step` takes those
         out itself.
         """
-        den_a, base, columns, errors = self._letters[letter]
+        den_a, columns, errors = self._letters[letter]
         v, den = pair
         for i, message in errors:
             if v[i]:
                 raise InputError(message)
         new = [sum(map(mul, get(v), nums)) for get, nums in columns]
         den *= den_a
-        g = gcd(base, den, *new)
+        g = gcd(self._base, den, *new)
         while g != 1:
             new = [x // g for x in new]
             den //= g
@@ -152,15 +150,14 @@ class Kernel:
             raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
         return tuple(new), den
 
-    def weights(self, letter: str, after: Ints | None = None) -> Ints:
+    def weights(self, letter: str, after: Ints) -> Ints:
         """One step back on `letter`, the transpose of `advance`: from the
-        weights `(w_x, L_x)` of a word `x` (the empty word, the accepting
-        indicator over 1, if `after` is None), the weights of `letter·x`,
-        not reduced. `w_x[i] / L_x` is the mass state `i` sends into the
-        accepting states along `x`."""
-        den_a, _, columns, _ = self._letters[letter]
+        weights `(w_x, L_x)` of a word `x` (`accept` for the empty word),
+        the weights of `letter·x`, not reduced. `w_x[i] / L_x` is the mass
+        state `i` sends into the accepting states along `x`."""
+        den_a, columns, _ = self._letters[letter]
         ids = range(len(self.names))  # a column's getter maps these to its sources
-        x, den_x = after or (tuple(int(j in self.accepting) for j in ids), 1)
+        x, den_x = after
         w = [0] * len(self.names)
         for j, xj in enumerate(x):
             if xj:
@@ -202,7 +199,7 @@ def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     k = Kernel.of(pa)
     for v, den in k.walk(pa.check_word(word)):
         pass
-    return k.fraction(sum(v[i] for i in k.accepting), den)
+    return k.fraction(sum(map(mul, v, k.accept[0])), den)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from pasynch import (
@@ -18,6 +19,7 @@ from pasynch import (
     Value1Instance,
     Word,
     ZERO,
+    matrix_oracle,
     outcome,
 )
 
@@ -306,4 +308,39 @@ def reference_check_p2(a: LiftedPa, c: TwinPa, w) -> CheckResult:
             if got != want or got_hat != want:
                 return CheckResult(False, f"step {i}, state {q}: twin pair carries "
                                           f"({got}, {got_hat}), expected {want} each")
+    return CheckResult(True)
+
+
+def reference_absorb(c: TwinPa, prefix, horizon: int) -> CheckResult:
+    """`dollar_absorption_check` on `matrix_oracle` runs: of the prefix,
+    then of the prefix followed by every word of one and of two non-reset
+    letters, within the horizon. The caller passes a horizon >= 0 and a
+    prefix with a commit letter after its last reset letter."""
+    w = tuple(prefix)
+    resets = [i for i, a in enumerate(w) if a == c.hash]
+    j = w.index(c.dollar, resets[-1] + 1 if resets else 0)
+    qn, qn_hat = c.q_n, c.twin_of[c.q_n]
+    pair = Dist({qn: HALF, qn_hat: HALF})
+    run = matrix_oracle(c.pa, w)
+    d = run[j + 1]
+    stray = sorted(d.support() - {c.q_f, qn, qn_hat})
+    if stray:
+        return CheckResult(False, f"step {j + 1}: mass outside the sinks, on {stray}")
+    if d.mass(qn) != d.mass(qn_hat):
+        return CheckResult(False, f"step {j + 1}: failure pair unbalanced "
+                                  f"({d.mass(qn)} vs {d.mass(qn_hat)})")
+    end = j + 1 + horizon
+    for i in range(j + 2, min(end, len(w)) + 1):
+        if run[i] != pair:
+            return CheckResult(False, f"step {i}: expected the half/half failure pair, "
+                                      f"got {run[i]}")
+    letters = [a for a in c.pa.alphabet if a != c.hash]
+    for n in (1, 2):
+        if len(w) + n > end:
+            break
+        for x in product(letters, repeat=n):
+            got = matrix_oracle(c.pa, w + x)[-1]
+            if got != pair:
+                return CheckResult(False, f"step {len(w) + n} via {x[-1]!r}: expected the "
+                                          f"half/half failure pair, got {got}")
     return CheckResult(True)

@@ -59,6 +59,12 @@ class TestMatrixOracle:
             w = random_word(rng, pa.alphabet, 20)
             assert matrix_oracle(pa, w) == outcome(pa, w)
 
+    def test_missing_row_named(self):
+        pa = Pa(("q0",), ("a", "b"), {"q0": 1}, {("q0", "a"): {"q0": 1}})
+        with pytest.raises(InputError) as err:
+            matrix_oracle(pa, ("a",))
+        assert str(err.value) == "delta incomplete at (q0,b)"
+
     def test_rejects_unknown_letter(self):
         with pytest.raises(InputError, match="position 0"):
             matrix_oracle(b_one().pa, ("z",))
@@ -89,6 +95,11 @@ class TestBoundedValueSearch:
                 accepting=("s0",))
         result = bounded_value_search(Value1Instance(pa), 0)
         assert result.best_word == () and result.best_prob == 1
+
+    def test_negative_max_len_rejected(self):
+        with pytest.raises(InputError) as err:
+            bounded_value_search(b_one(), -1)
+        assert str(err.value) == "max_len must be >= 0, got -1"
 
     def test_budget_guard(self):
         rng = random.Random(0)
@@ -411,6 +422,11 @@ class TestCertificate:
         assert not cert.ok
         assert cert.norms == (HALF,)
         assert cert.thresholds == (HALF,)
+
+    def test_truth_is_the_verdict(self):
+        c = twin(lift(b_one()))
+        assert bool(certificate_check(c, [("a", c.dollar)])) is True
+        assert bool(certificate_check(c, [("a",)])) is False
 
     def test_schedule_without_commit_mass_fails(self):
         c = twin(lift(b_one()))

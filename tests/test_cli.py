@@ -33,7 +33,15 @@ from pasynch import (
 )
 from pasynch import core
 from pasynch.cli import _build_parser, main
-from helpers import corrupted, family_pa, reference_outcome
+from helpers import (
+    corrupted,
+    family_pa,
+    random_dist,
+    random_value1_instance,
+    random_word,
+    reference_absorb,
+    reference_outcome,
+)
 
 
 def _write_fixtures(tmp_path):
@@ -112,6 +120,15 @@ def test_unwritable_csv_is_input_error(files, tmp_path, capsys):
     assert main(["lasso", files["b_one_twin"], "--loop", "a", "--reps", "1",
                  "--csv", out]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write")
+
+
+def test_lift_into_a_missing_directory(files, tmp_path, capsys):
+    out = str(tmp_path / "missing" / "lift.pa")
+    with pytest.raises(OSError) as err:
+        open(out, "w", encoding="utf-8")
+    assert main(["lift", files["b_one"], "-o", out]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {err.value}\n")
+    assert not os.path.exists(os.path.dirname(out))
 
 
 def test_lasso(files, capsys):
@@ -359,6 +376,20 @@ def test_input_errors_name_their_cause(files, tmp_path, capsys, name, edits, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, message", (
+    ([], "missing 'format: pa/1' line"),
+    (["# a comment only"], "missing 'format: pa/1' line"),
+    (["format: pa/1", "format: pa/1"], "line 2: duplicate 'format' line"),
+    (["format: pa/1", "states: s", "letters: a", "initial: s 1", "accepting:", "row: s a s"],
+     "line 6: row needs STATE LETTER and at least one target pair"),
+))
+def test_grammar_errors_name_their_line(tmp_path, capsys, lines, message):
+    path = tmp_path / "bad.pa"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_absorb(files, capsys):
     assert main(["absorb", files["b_one_twin"], "--prefix", "a.@sym:$",
                  "--horizon", "5"]) == 0
@@ -399,6 +430,52 @@ def test_absorb_failures(tmp_path, capsys, row, prefix, reason):
     save_pa(bad, path)
     assert main(["absorb", path, "--prefix", prefix, "--horizon", "3"]) == 1
     assert capsys.readouterr() == (f"FAIL: {reason}\n", "")
+
+
+def _absorb_corpus(rng: random.Random, n: int):
+    """`n` (twin, prefix, horizon) cases: the twins of `b_one`, `b_half` and
+    random instances with one row on a non-reset letter replaced, and for
+    a paired state often its hat's row too; a sink row half the time. On
+    `b_one`'s twin, a prefix that ends in "a" and the commit letter puts
+    all mass on the success sink, so a broken failure-pair row shows only
+    in the second sweep past the prefix."""
+    twins = [twin(lift(b)) for b in (b_one(), b_one(), b_half())] + [
+        twin(lift(random_value1_instance(rng, max_states=3, max_letters=2)))
+        for _ in range(3)]
+    for _ in range(n):
+        c = rng.choice(twins)
+        sinks = (c.q_f, c.q_n, c.twin_of[c.q_n])
+        q = rng.choice(sinks if rng.random() < 0.5 else c.pa.states)
+        letter = rng.choice(c.lifted_alphabet)
+        row = random_dist(rng, rng.sample(c.pa.states, rng.randint(1, 3)), 4)
+        bad = corrupted(c, q, letter, row)
+        if q in c.twin_of and rng.random() < 0.7:
+            bad = corrupted(bad, c.twin_of[q], letter, row)
+        prefix = (random_word(rng, c.pa.alphabet, 2) + ("a", c.dollar)
+                  + random_word(rng, c.lifted_alphabet, 2) * rng.randint(0, 1))
+        yield bad, prefix, rng.choice((0, 1, 2, 3, 10 ** 6))
+
+
+def test_absorb_matches_the_oracle_on_corrupted_twins(tmp_path, capsys):
+    # every verdict, through the API and the CLI
+    verdicts = set()
+    path = str(tmp_path / "bad.pa")
+    for bad, prefix, horizon in _absorb_corpus(random.Random(71), 120):
+        want = reference_absorb(bad, prefix, horizon)
+        assert dollar_absorption_check(bad, prefix, horizon) == want
+        save_pa(bad, path)
+        argv = ["absorb", path, "--prefix", ".".join(prefix), "--horizon", str(horizon)]
+        assert main(argv) == (0 if want.ok else 1)
+        assert capsys.readouterr() == ("PASS\n" if want.ok else f"FAIL: {want.reason}\n", "")
+        if want.ok:
+            verdicts.add("PASS")
+            continue
+        kind = next(k for k in ("outside the sinks", "unbalanced", "via", "expected")
+                    if k in want.reason)
+        step = int(want.reason.split()[1].rstrip(":"))
+        verdicts.add(f"via {step - len(prefix)}" if kind == "via" else kind)
+    # "via 1" and "via 2": the sweeps from the reached pair and from the failure pair
+    assert verdicts == {"PASS", "outside the sinks", "unbalanced", "expected", "via 1", "via 2"}
 
 
 def _odd_base_twin() -> TwinPa:

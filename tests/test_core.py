@@ -65,6 +65,12 @@ class TestProb:
         with pytest.raises(InputError):
             as_prob("1/0")
 
+    def test_other_types_rejected_by_name(self):
+        value = object()
+        with pytest.raises(InputError) as err:
+            as_prob(value)
+        assert str(err.value) == f"cannot read a probability from {value!r}"
+
     @given(st.integers(-30, 30), st.integers(1, 30))
     def test_accepts_exactly_the_unit_interval(self, num, den):
         p = Fraction(num, den)
@@ -100,6 +106,15 @@ class TestDist:
 
     def test_mass_defaults_to_zero(self):
         assert Dist({"q0": 1}).mass("missing") == 0
+
+    def test_indexing_reads_the_mass(self):
+        d = Dist({"p": "1/3", "r": "2/3"})
+        assert (d["p"], d["r"], d["q"]) == (Fraction(1, 3), Fraction(2, 3), 0)
+
+    def test_never_equal_to_another_type(self):
+        d = Dist({"p": 1})
+        assert d.__eq__({"p": 1}) is NotImplemented
+        assert d != {"p": 1} and d != Fraction(1)
 
     def test_equality_ignores_stored_zeros(self):
         assert Dist({"q0": 1, "q1": 0}) == Dist({"q0": 1})
@@ -159,6 +174,16 @@ class TestValidate:
         assert any("duplicate state name" in v for v in violations)
         assert any("duplicate letter" in v for v in violations)
 
+    def test_empty_names_reported_in_order(self):
+        pa = Pa(("", "q0", "q0"), ("", "a", "a"), {"q0": 1}, {})
+        assert pa.validate().violations[:4] == (
+            "empty state name", "duplicate state name 'q0'",
+            "empty letter", "duplicate letter 'a'")
+
+    def test_report_is_true_exactly_when_ok(self):
+        assert bool(two_state_pa().validate()) is True
+        assert bool(Pa(("q0",), ("a",), {"q0": 1}, {}).validate()) is False
+
     def test_a_shared_bad_row_is_reported_for_every_key(self):
         bad = Dist({"q0": "1/3", "zz": "1/3"})
         pa = Pa(("q0", "q1"), ("a",), {"q0": 1}, {("q0", "a"): bad, ("q1", "a"): bad})
@@ -211,6 +236,20 @@ class TestImmutablePa:
         with pytest.raises(AttributeError, match="immutable"):
             delattr(pa, name)
         assert pa == two_state_pa()
+
+    def test_message_names_the_class_and_the_attribute(self):
+        pa = two_state_pa()
+        with pytest.raises(AttributeError) as err:
+            pa.states = ()
+        assert str(err.value) == "Pa is immutable: cannot change 'states'"
+        with pytest.raises(AttributeError) as err:
+            del pa.extra
+        assert str(err.value) == "Pa is immutable: cannot change 'extra'"
+
+    def test_never_equal_to_another_type(self):
+        pa = two_state_pa()
+        assert pa.__eq__(pa.states) is NotImplemented
+        assert pa != pa.states
 
     def test_delta_is_read_only(self):
         pa = two_state_pa()
@@ -275,6 +314,12 @@ class TestPost:
     def test_unknown_state(self):
         with pytest.raises(InputError, match="unknown state"):
             two_state_pa().post("nope", "a")
+
+    def test_missing_row_named(self):
+        pa = Pa(("q0",), ("a", "b"), {"q0": 1}, {("q0", "a"): {"q0": 1}})
+        with pytest.raises(InputError) as err:
+            pa.post("q0", "b")
+        assert str(err.value) == "delta incomplete at (q0,b)"
 
     def test_post_set_empty(self):
         assert two_state_pa().post_set(set(), {"a"}) == frozenset()

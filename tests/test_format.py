@@ -248,6 +248,18 @@ def test_serialize_is_the_same_for_shared_and_distinct_rows():
     assert serialize_pa(dataclasses.replace(c, pa=fresh)) == serialize_pa(c)
 
 
+@pytest.mark.parametrize("state, letter, message", (
+    ("p q", "a", "state name 'p q' cannot be serialized (empty or whitespace)"),
+    ("p", "a\tb", "letter 'a\\tb' cannot be serialized (empty or whitespace)"),
+))
+def test_names_with_whitespace_are_not_serialized(state, letter, message):
+    pa = Pa((state,), (letter,), {state: 1}, {(state, letter): {state: 1}})
+    assert pa.validate().ok
+    with pytest.raises(InputError) as err:
+        serialize_pa(pa)
+    assert str(err.value) == message
+
+
 def test_empty_accepting_serialized_explicitly():
     doc = B_ONE_DOC.replace("accepting: sA", "accepting:")
     pa = parse_pa(doc)

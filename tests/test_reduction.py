@@ -114,6 +114,14 @@ class TestLift:
         assert a.dollar == "@sym:$2"
         assert a.pa.validate().ok
 
+    def test_fresh_names_count_past_taken_suffixes(self):
+        states = ("@lift:qf", "@lift:qf2", "@lift:qn")
+        pa = Pa(states, ("a",), {"@lift:qf": 1}, {(q, "a"): {q: 1} for q in states},
+                accepting=("@lift:qf2",))
+        a = lift(Value1Instance(pa))
+        assert (a.q_f, a.q_n) == ("@lift:qf3", "@lift:qn2")
+        assert a.pa.states == states + ("@lift:qf3", "@lift:qn2")
+
     def test_relaxed_initial_mode(self):
         pa = Pa(
             states=("s0", "s1"),
@@ -154,6 +162,12 @@ class TestImmutableInstance:
         with pytest.raises(AttributeError, match="immutable"):
             delattr(b, name)
         assert b.pa == b_half().pa and b.q0 == "s0"
+
+    def test_message_names_the_class_and_the_attribute(self):
+        b = b_half()
+        with pytest.raises(AttributeError) as err:
+            del b.q0
+        assert str(err.value) == "Value1Instance is immutable: cannot change 'q0'"
 
     @pytest.mark.parametrize("clone", (
         copy.copy, copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b)),

@@ -119,6 +119,11 @@ def test_norm_trace_twin_concentrates_on_commit():
     assert trace[2].dist == Dist.dirac(c.q_f)
 
 
+def test_norm_trace_length_counts_the_start():
+    trace = norm_trace(b_half().pa, ("a", "a", "a"))
+    assert len(trace) == len(trace.entries) == 4
+
+
 def test_norm_trace_invariants():
     c = twin(lift(b_half()))
     trace = norm_trace(c.pa, ("a", c.dollar, c.hash, "a"))
@@ -344,7 +349,7 @@ def test_walk_pairs_are_lowest_terms_over_every_denominator_family(seed):
             _assert_same_fraction(e.dist.mass(q), Fraction(x, den))
     v, den = pairs[-1]
     _assert_same_fraction(acceptance_probability(pa, word),
-                          Fraction(sum(v[i] for i in k.accepting), den))
+                          Fraction(sum(x for q, x in zip(k.names, v) if q in pa.accepting), den))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -358,11 +363,11 @@ def test_weights_step_back_like_the_matrix_oracle(seed):
     u = random_word(rng, pa.alphabet, 6)
     v, den = list(k.walk(u))[-1]
     for a in pa.alphabet:
-        w, den_w = k.weights(a)
+        w, den_w = k.weights(a, k.accept)
         assert [Fraction(x, den_w) for x in w] == [
             sum((pa.delta[(q, a)].mass(t) for t in pa.accepting), Fraction(0))
             for q in pa.states]
-    x, weights = (), None
+    x, weights = (), k.accept
     for _ in range(3):
         a = rng.choice(pa.alphabet)
         x, weights = (a, *x), k.weights(a, weights)
