@@ -197,7 +197,7 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
 
 
 def _check_token(name: str, what: str) -> str:
-    if not name or name != "".join(name.split()):
+    if name != "".join(name.split()):
         raise InputError(f"{what} {name!r} cannot be serialized (empty or whitespace)")
     return name
 

@@ -260,6 +260,17 @@ def test_names_with_whitespace_are_not_serialized(state, letter, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("pa, message", (
+    (Pa(("", "p"), ("a",), {"p": 1}, {("", "a"): {"p": 1}, ("p", "a"): {"p": 1}}),
+     "invalid automaton: empty state name"),
+    (Pa(("p",), ("",), {"p": 1}, {("p", ""): {"p": 1}}), "invalid automaton: empty letter"),
+))
+def test_empty_names_are_refused_by_validation_before_serializing(pa, message):
+    with pytest.raises(ValidationError) as err:
+        serialize_pa(pa)
+    assert str(err.value) == message
+
+
 def test_empty_accepting_serialized_explicitly():
     doc = B_ONE_DOC.replace("accepting: sA", "accepting:")
     pa = parse_pa(doc)

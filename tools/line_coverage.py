@@ -1,13 +1,13 @@
 """Run the test suite in-process and list every line of `src/` that never ran.
 
-    python3 tools/line_coverage.py [PYTEST_ARGS ...]
+    python3 tools/line_coverage.py
 
 The executable lines of each module under ``src/pasynch`` are the line
 numbers of its code objects (``co_lines()``). ``sys.settrace`` and
 ``threading.settrace`` record the lines that run while ``pytest`` runs the
-``tests`` directory (or ``PYTEST_ARGS``) in this process. Every executable
-line that never ran is printed with its text. The exit status is 1 when
-the tests fail or when an unrun line is not in ``ALLOWED`` below, else 0.
+``tests`` directory in this process. Every executable line that never ran
+is printed with its text. The exit status is 1 when the tests fail or
+when an unrun line is not in ``ALLOWED`` below, else 0.
 Only the standard library and pytest are used.
 """
 from __future__ import annotations
@@ -76,10 +76,10 @@ def traced_run(paths: list[Path], pytest_args: list[str]) -> tuple[int, dict[Pat
     return int(code), ran
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     start = time.perf_counter()
     paths = sorted(Path(os.path.realpath(p)) for p in (SRC / "pasynch").glob("*.py"))
-    code, ran = traced_run(paths, argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    code, ran = traced_run(paths, ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     unexplained = allowed = 0
     for path in paths:
         text = path.read_text(encoding="utf-8").splitlines()
@@ -98,4 +98,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
