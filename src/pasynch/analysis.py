@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Generator, Sequence
 
 from .core import (
     CheckResult,
@@ -126,8 +127,16 @@ def _dominated(w: Ints, kept: list[Ints]) -> bool:
     return False
 
 
-def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (shortlex rank, accepting numerator, denominator) in rank order.
+def _shortlex_scan(
+    pa: Pa, max_len: int, bar: tuple[int, int] = (-1, 1),
+) -> Generator[tuple[int, int, int], tuple[int, int] | None, None]:
+    """Yield (shortlex rank, accepting numerator, denominator) in rank order,
+    for the words whose probability is strictly above `bar`.
+
+    `bar` is a pair `(num, den)`, `den > 0`; the default lets every word
+    through. `scan.send(new_bar)` raises the bar for every word after the
+    one just yielded and returns the next word above it; `next(scan)`
+    keeps the bar. A `send` after the last word raises `StopIteration`.
 
     Acceptance after `u·x` is `<v_u, w_x> / (D_u * L_x)` (see `Kernel`),
     so a word is split into a stepped prefix and a scored suffix. Layers
@@ -149,6 +158,12 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     yielded word of at least its probability: both searches find what a
     full scan finds.
 
+    With `S_m` the scan keeps `u_m / L_m`, the componentwise max of its
+    vectors over the lcm `L_m` of their denominators. A stepped pair
+    `(v, D)` whose `<v, u_m> / (D * L_m)` is at most the bar skips its
+    whole block of words with `S_m`: that bound is at least each of their
+    probabilities, again because every vector is nonnegative.
+
     - the yielded pairs are not in lowest terms; compare them by
       cross-multiplication, never by equality of parts;
     - `pa` must be valid. Scoring skips the checks that `Kernel.advance`
@@ -156,8 +171,10 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
     """
     k, n = Kernel.of(pa), len(pa.alphabet)
     h = max_len - _suffix_depth(n, max_len)
+    bar_num, bar_den = bar
     kept = [k.accept]
     suffixes, stride = [(0, k.accept)], 1  # the kept S_m as (lex index, weights), and n^m
+    top, top_den = k.accept  # u_m and L_m
     layer = {k.start: 0}
     offset, width = 0, 1  # rank of the first word of a length, and their number
     for length in range(max_len + 1):
@@ -172,10 +189,22 @@ def _shortlex_scan(pa: Pa, max_len: int) -> Iterator[tuple[int, int, int]]:
             stride *= n
             if not suffixes:  # nor is any longer one: nothing is left to yield
                 return
+            # lists, not tuple(<iterator>): CPython allocates such a tuple at a
+            # guessed size and resizes it, so each one freed adds to the free
+            # list of its final size (up to 2,000 a size): peak RSS creeps
+            top_den = lcm(*[den for _, (_, den) in suffixes])
+            top = [max(col) for col in zip(*[[x * (top_den // den) for x in w]
+                                             for _, (w, den) in suffixes])]
         for (v, den), index in layer.items():
+            if sum(map(mul, v, top)) * bar_den <= bar_num * den * top_den:
+                continue
             rank = offset + index * stride
             for j, (w, den_w) in suffixes:
-                yield rank + j, sum(map(mul, v, w)), den * den_w
+                num = sum(map(mul, v, w))
+                if num * bar_den > bar_num * den * den_w:
+                    sent = yield rank + j, num, den * den_w
+                    if sent is not None:
+                        bar_num, bar_den = sent
         if 0 < length <= h:
             nxt = {}
             for pair, index in layer.items():
@@ -193,26 +222,35 @@ def _word_at(alphabet: Sequence[str], rank: int) -> Word:
     return tuple(alphabet[rank // n ** e % n] for e in reversed(range(length)))
 
 
+def _send(scan: Generator, bar: tuple[int, int]) -> tuple[int, int, int] | None:
+    """The scan's next word above `bar`, or None once it is exhausted."""
+    try:
+        return scan.send(bar)
+    except StopIteration:
+        return None
+
+
 def bounded_value_search(
     b: Value1Instance,
     max_len: int,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> SearchResult:
-    """Evaluate the acceptance probability of every word up to `max_len`.
+    """The best acceptance probability of any word up to `max_len`.
 
-    The scan runs in shortlex order and keeps the first strictly greater
-    probability, so the best word is the shortest, then the first in the
-    declared alphabet order, of the highest probability.
+    The scan runs in shortlex order and each best so far is sent to it as
+    its bar, so it yields only strictly greater probabilities: the best
+    word is the shortest, then the first in the declared alphabet order,
+    of the highest probability.
     """
     total = _check_space(b.pa, max_len, budget)
     scan = _shortlex_scan(b.pa, max_len)
-    best_rank, best_num, best_den = next(scan)
-    for rank, num, den in scan:
-        if num * best_den > best_num * den:
-            best_rank, best_num, best_den = rank, num, den
-    return SearchResult(_word_at(b.pa.alphabet, best_rank), Fraction(best_num, best_den),
-                        total, exhausted=True)
+    best = next(scan)
+    while (better := _send(scan, best[1:])) is not None:
+        best = better
+    rank, num, den = best
+    return SearchResult(_word_at(b.pa.alphabet, rank), Fraction(num, den), total,
+                        exhausted=True)
 
 
 def witness_schedule_search(
@@ -224,23 +262,33 @@ def witness_schedule_search(
 ) -> ScheduleSearchResult:
     """Find words u_1..u_k with P(u_i) > 1 - 2^-i, each within `max_len`.
 
-    One shortlex scan serves every rung: a word found for rung i is
-    re-checked against rung i+1 before the scan goes on. Every rung's
-    satisfiers are a subset of the previous rung's, so the resumed scan
-    returns exactly the word a fresh scan would.
+    One shortlex scan serves every rung. It starts with rung 1's bar,
+    1/2, and yields the first word above it. A word found for rung i is
+    re-checked against rung i+1; when it does not beat it, that rung's bar
+    `(2^(i+1) - 1, 2^(i+1))` is sent to the scan, which goes on to the
+    next word above it. Every rung's satisfiers are a subset of the
+    previous rung's, so the resumed scan returns exactly the word a fresh
+    scan would. A word of probability 1 beats every rung, so it fills
+    all the rungs left at once. `k` above `budget` is refused, like a
+    sweep of more words than the budget.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     total = _check_space(b.pa, max_len, budget)
-    scan = _shortlex_scan(b.pa, max_len)
+    if k > budget:
+        raise BudgetExceededError(f"k of {k} exceeds the budget of {budget}")
+    scan = _shortlex_scan(b.pa, max_len, (1, 2))
     found: list[Word] = []
-    hit: tuple[int, int, int] | None = None
+    hit = next(scan, None)
     for i in range(1, k + 1):
-        if hit is None or not _beats_rung(hit[1], hit[2], i):
-            hit = next((h for h in scan if _beats_rung(h[1], h[2], i)), None)
-            if hit is None:
-                return ScheduleSearchResult(tuple(found), False, i, total)
+        if hit is not None and not _beats_rung(hit[1], hit[2], i):
+            hit = _send(scan, ((1 << i) - 1, 1 << i))
+        if hit is None:
+            return ScheduleSearchResult(tuple(found), False, i, total)
         found.append(_word_at(b.pa.alphabet, hit[0]))
+        if hit[1] == hit[2]:  # probability 1
+            found += found[-1:] * (k - i)
+            break
     return ScheduleSearchResult(tuple(found), True, None, hit[0] + 1)
 
 

@@ -254,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="find words beating the 1-2^-i ladder")
     p.add_argument("file")
-    p.add_argument("--k", required=True, type=int)
+    p.add_argument("--k", required=True, type=int,
+                   help="number of rungs, 1 to --budget (exit 3 above it)")
     p.add_argument("--max-len", required=True, type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_schedule)

@@ -1,11 +1,13 @@
 """Search, certificates, absorption/half-bound checks, matrix oracle."""
 import random
+import time
 from fractions import Fraction
 from operator import le
 
 import pytest
 
 from pasynch import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CheckResult,
     Dist,
@@ -142,6 +144,13 @@ class TestBoundedValueSearch:
         assert bounded_value_search(b, 6) == bounded_value_search(b, 6)
 
 
+def _accepting_loop() -> Value1Instance:
+    """One accepting state that every letter keeps: every word has
+    probability 1."""
+    return Value1Instance(Pa(("s0",), ("a",), {"s0": 1}, {("s0", "a"): {"s0": 1}},
+                             accepting=("s0",)))
+
+
 class TestWitnessScheduleSearch:
     def test_b_one_reuses_the_perfect_word(self):
         result = witness_schedule_search(b_one(), 5, 5)
@@ -159,6 +168,25 @@ class TestWitnessScheduleSearch:
                 accepting=("s0",))
         result = witness_schedule_search(Value1Instance(pa), 1, 3)
         assert result.ok and result.words == ((),)
+
+    def test_k_up_to_the_budget_is_filled_by_a_word_of_probability_one(self):
+        # the empty word has probability 1 and beats every rung, so the
+        # rest of the ladder is filled at once; testing each rung in turn
+        # costs time quadratic in k
+        start = time.perf_counter()
+        result = witness_schedule_search(_accepting_loop(), DEFAULT_BUDGET, 1)
+        assert time.perf_counter() - start < 1
+        assert result.ok and result.explored == 1
+        assert result.words == ((),) * DEFAULT_BUDGET
+        result = witness_schedule_search(b_one(), 40, 3)
+        assert result == reference_schedule(b_one(), 40, 3)
+        assert result.words == (("a",),) * 40 and result.explored == 2
+
+    def test_k_above_the_budget_is_refused(self):
+        assert witness_schedule_search(_accepting_loop(), 10, 1, budget=10).ok
+        with pytest.raises(BudgetExceededError) as err:
+            witness_schedule_search(_accepting_loop(), 11, 1, budget=10)
+        assert str(err.value) == "k of 11 exceeds the budget of 10"
 
     def test_budget_guard(self):
         rng = random.Random(1)
@@ -191,6 +219,25 @@ def _merging_instance() -> Value1Instance:
         },
         accepting=("acc",),
     ))
+
+
+def _oracle_corpus():
+    """(instance, max_len, `scored_shortlex`) on random 2-6-state Dirac
+    instances over 1-5 letters, up to 1,400 words each. Half the instances
+    draw every row from a pool of two, so that many words reach one
+    distribution."""
+    rng = random.Random(41)
+    for letters in ("a", "ab", "abc", "abcd", "abcde"):
+        for max_len in range(8):
+            if _word_count(len(letters), max_len) > 1400:
+                break
+            states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
+            pool = [random_dist(rng, states)
+                    for _ in range(rng.choice((2, len(states) * len(letters))))]
+            delta = {(q, a): rng.choice(pool) for q in states for a in letters}
+            accepting = rng.sample(states, rng.randint(1, len(states)))
+            b = Value1Instance(Pa(states, tuple(letters), {"q0": 1}, delta, accepting))
+            yield b, max_len, scored_shortlex(b.pa, max_len)
 
 
 class TestSharedScan:
@@ -232,36 +279,51 @@ class TestSharedScan:
         # every yielded score is the oracle's probability of the word at
         # its rank, every word skipped has an earlier yielded word of at
         # least its probability, and both searches equal the brute-force
-        # references. Half the instances draw every row from a pool of
-        # two, so that many words reach one distribution.
-        rng = random.Random(41)
-        for letters in ("a", "ab", "abc", "abcd", "abcde"):
-            for max_len in range(8):
-                if _word_count(len(letters), max_len) > 1400:
-                    break
-                states = tuple(f"q{i}" for i in range(rng.randint(2, 6)))
-                pool = [random_dist(rng, states)
-                        for _ in range(rng.choice((2, len(states) * len(letters))))]
-                delta = {(q, a): rng.choice(pool) for q in states for a in letters}
-                accepting = rng.sample(states, rng.randint(1, len(states)))
-                b = Value1Instance(Pa(states, tuple(letters), {"q0": 1}, delta, accepting))
-                scored = scored_shortlex(b.pa, max_len)
-                ranks = []
-                for rank, num, den in _shortlex_scan(b.pa, max_len):
-                    word, p = scored[rank]
-                    assert _word_at(b.pa.alphabet, rank) == word
-                    assert Fraction(num, den) == p
-                    ranks.append(rank)
-                assert ranks == sorted(set(ranks)) and ranks[0] == 0
-                yielded, best = set(ranks), scored[0][1]
-                for rank, (_, p) in enumerate(scored):
-                    if rank in yielded:
-                        best = max(best, p)
-                    assert p <= best
-                assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
-                for k in (1, 3, 5):
-                    assert (witness_schedule_search(b, k, max_len)
-                            == reference_schedule(b, k, max_len, scored))
+        # references
+        for b, max_len, scored in _oracle_corpus():
+            ranks = []
+            for rank, num, den in _shortlex_scan(b.pa, max_len):
+                word, p = scored[rank]
+                assert _word_at(b.pa.alphabet, rank) == word
+                assert Fraction(num, den) == p
+                ranks.append(rank)
+            assert ranks == sorted(set(ranks)) and ranks[0] == 0
+            yielded, best = set(ranks), scored[0][1]
+            for rank, (_, p) in enumerate(scored):
+                if rank in yielded:
+                    best = max(best, p)
+                assert p <= best
+            assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
+            for k in (1, 3, 5):
+                assert (witness_schedule_search(b, k, max_len)
+                        == reference_schedule(b, k, max_len, scored))
+
+    def test_a_bar_raised_to_each_best_yields_exactly_the_records(self):
+        # sending each yielded probability back as the bar, as
+        # `bounded_value_search` does, yields the words strictly above
+        # every earlier word, with their probabilities, then stops
+        for b, max_len, scored in _oracle_corpus():
+            scan = _shortlex_scan(b.pa, max_len)
+            yielded = [next(scan)]
+            with pytest.raises(StopIteration):
+                while True:
+                    yielded.append(scan.send(yielded[-1][1:]))
+            records, best = [], -1
+            for rank, (_, p) in enumerate(scored):
+                if p > best:
+                    records.append((rank, p))
+                    best = p
+            assert [(rank, Fraction(num, den)) for rank, num, den in yielded] == records
+
+    def test_a_bar_at_the_value_yields_nothing(self):
+        for b, max_len, scored in _oracle_corpus():
+            value = max(p for _, p in scored)
+            bar = value.numerator, value.denominator
+            assert list(_shortlex_scan(b.pa, max_len, bar)) == []
+            # a bar just below the value still lets its first word through
+            below = value.numerator * 2 - 1, value.denominator * 2
+            first = next(rank for rank, (_, p) in enumerate(scored) if p == value)
+            assert first in [rank for rank, _, _ in _shortlex_scan(b.pa, max_len, below)]
 
     def test_last_layer_is_scored_not_stepped(self, monkeypatch):
         # state t holds x = 4^-|w| + the word read as base-4 digits 0, 1, 2,

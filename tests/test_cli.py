@@ -235,6 +235,17 @@ def test_schedule_budget_exceeded(files, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_schedule_k_is_bounded_by_the_budget(tmp_path, capsys):
+    path = str(tmp_path / "one.pa")
+    save_pa(Pa(("s0",), ("a",), {"s0": 1}, {("s0", "a"): {"s0": 1}}, accepting=("s0",)), path)
+    assert main(["schedule", path, "--k", "1000", "--max-len", "1", "--budget", "1000"]) == 0
+    assert capsys.readouterr().out == "".join(f"u{i}: \n" for i in range(1, 1001))
+    assert main(["schedule", path, "--k", "1001", "--max-len", "1", "--budget", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k of 1001 exceeds the budget of 1000\n"
+
+
 def test_schedule_success(files, capsys):
     assert main(["schedule", files["b_one"], "--k", "3", "--max-len", "4"]) == 0
     assert capsys.readouterr().out == "u1: a\nu2: a\nu3: a\n"
