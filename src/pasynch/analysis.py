@@ -7,11 +7,10 @@ of the searches mean "not found within the bound", nothing stronger.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Generator, Sequence
+from typing import Generator, NamedTuple, Sequence
 
 from .core import (
     CheckResult,
@@ -33,8 +32,7 @@ class BudgetExceededError(PaError):
     """An exhaustive sweep would evaluate more words than the budget allows."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Best word found by an exhaustive bounded sweep.
 
     Among words attaining `best_prob`, `best_word` is the shortest one,
@@ -48,8 +46,7 @@ class SearchResult:
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class ScheduleSearchResult:
+class ScheduleSearchResult(NamedTuple):
     """Outcome of a threshold-ladder search; `failed_at` is the first rung
     (1-based) with no sufficient word within the length bound. `explored`
     counts the words up to the last one found in shortest-then-lex order,
@@ -61,8 +58,7 @@ class ScheduleSearchResult:
     explored: int
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Checkpoint norms of an interleaved witness word against the
     1 - 2^-i ladder; valid iff every norm strictly exceeds its rung."""
 

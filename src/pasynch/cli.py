@@ -285,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact numbers are printed and read whole, past CPython's int/str digit
+    # limit (3.10.7 and later); the caller's limit is restored on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -293,7 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     except PaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Word = tuple[str, ...]
 
@@ -196,8 +195,7 @@ class Dist:
         return f"Dist({{{inside}}})"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of `Pa.validate`: empty violation list means the automaton is well formed."""
 
     violations: tuple[str, ...]
@@ -210,8 +208,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Pass/fail outcome of an exact checker, with the first violation found."""
 
     ok: bool
@@ -224,6 +221,12 @@ class CheckResult:
 def _frozen(self, name: str, value: object = None):
     """`__setattr__` and `__delattr__` of an immutable class."""
     raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
+def _fill(self, *values: object) -> None:
+    """Set the slots of a new immutable instance, in `__slots__` order."""
+    for name, value in zip(self.__slots__, values):
+        object.__setattr__(self, name, value)
 
 
 class Pa:
@@ -255,10 +258,8 @@ class Pa:
         initial = initial if isinstance(initial, Dist) else Dist(initial)
         delta = MappingProxyType({key: (row if isinstance(row, Dist) else Dist(row))
                                   for key, row in dict(delta).items()})
-        values = (states, alphabet, initial, delta, frozenset(accepting),  # slot order
-                  frozenset(states), frozenset(alphabet), None, None)
-        for name, value in zip(Pa.__slots__, values):
-            object.__setattr__(self, name, value)
+        _fill(self, states, alphabet, initial, delta, frozenset(accepting),
+              frozenset(states), frozenset(alphabet), None, None)
 
     __setattr__ = __delattr__ = _frozen
 

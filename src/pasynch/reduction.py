@@ -26,11 +26,10 @@ numeric suffix is appended if an input automaton already uses the name.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     CheckResult,
@@ -39,6 +38,7 @@ from .core import (
     InputError,
     Pa,
     Word,
+    _fill,
     _frozen,
 )
 from .semantics import Kernel
@@ -80,8 +80,7 @@ class Value1Instance:
                 "(pass require_dirac=False to relax)")
         else:
             q0 = None
-        object.__setattr__(self, "pa", pa)
-        object.__setattr__(self, "q0", q0)
+        _fill(self, pa, q0)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -93,21 +92,41 @@ class Value1Instance:
         return f"Value1Instance({self.pa!r}, q0={self.q0!r})"
 
 
-@dataclass(frozen=True)
-class LiftedPa:
+class _Roles:
+    """Immutable and unhashable like `Pa`; `==`, repr and pickling go by the `__slots__`."""
+
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # a read-only map does not pickle; it is rebuilt from a plain copy
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v
+                                 for v in self._values())
+
+
+class LiftedPa(_Roles):
     """A lifted automaton plus the roles the construction assigned.
 
     `source_states` is a frozen copy of the set it was built from.
     """
 
-    pa: Pa
-    q_f: str
-    q_n: str
-    dollar: str
-    source_states: frozenset[str]
+    __slots__ = ("pa", "q_f", "q_n", "dollar", "source_states")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source_states", frozenset(self.source_states))
+    def __init__(self, pa: Pa, q_f: str, q_n: str, dollar: str, source_states: Iterable[str]):
+        _fill(self, pa, q_f, q_n, dollar, frozenset(source_states))
         # structural reference checks only; row-level invariants are
         # verified by `twin` so that corrupted fixtures stay constructible
         if self.q_f not in self.pa.state_set:
@@ -129,8 +148,7 @@ class LiftedPa:
         return tuple(a for a in self.pa.alphabet if a != self.dollar)
 
 
-@dataclass(frozen=True)
-class TwinPa:
+class TwinPa(_Roles):
     """A twinned automaton plus its role map.
 
     `twin_of` maps every non-sink-success state of the lifted automaton to
@@ -140,17 +158,11 @@ class TwinPa:
     `twin_of` is a read-only copy of the map it was built from.
     """
 
-    pa: Pa
-    twin_of: Mapping[str, str]
-    hash: str
-    q0: str
-    q0_hat: str
-    q_f: str
-    q_n: str
-    dollar: str
+    __slots__ = ("pa", "twin_of", "hash", "q0", "q0_hat", "q_f", "q_n", "dollar")
 
-    def __post_init__(self):
-        object.__setattr__(self, "twin_of", MappingProxyType(dict(self.twin_of)))
+    def __init__(self, pa: Pa, twin_of: Mapping[str, str], hash: str, q0: str, q0_hat: str,
+                 q_f: str, q_n: str, dollar: str):
+        _fill(self, pa, MappingProxyType(dict(twin_of)), hash, q0, q0_hat, q_f, q_n, dollar)
         originals = set(self.twin_of)
         hats = set(self.twin_of.values())
         if len(hats) != len(originals):
@@ -171,11 +183,6 @@ class TwinPa:
                 raise InputError(f"{role} letter {letter!r} is not in the alphabet")
         if self.hash == self.dollar:
             raise InputError("reset and commit letters must differ")
-
-    def __reduce__(self):
-        # a read-only map does not pickle; rebuild from a plain copy of it
-        return TwinPa, (self.pa, dict(self.twin_of), self.hash, self.q0, self.q0_hat,
-                        self.q_f, self.q_n, self.dollar)
 
     @property
     def q_n_hat(self) -> str:

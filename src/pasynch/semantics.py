@@ -10,7 +10,6 @@ without re-validating and which make their `Fraction` map on first read.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
@@ -202,32 +201,29 @@ def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     return k.fraction(sum(map(mul, v, k.accept[0])), den)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     step: int
     letter: str | None  # None on the initial entry
     dist: Dist
     norm: Fraction
 
 
-@dataclass(frozen=True)
-class NormTrace:
-    """Per-step record of a run: distribution plus its norm at every step."""
+class NormTrace(tuple):
+    """Per-step record of a run: distribution plus its norm at every step.
+    It is the tuple of its `TraceEntry`s, and `entries` is the trace itself."""
 
-    entries: tuple[TraceEntry, ...]
+    __slots__ = ()
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> TraceEntry:
-        return self.entries[i]
+    @property
+    def entries(self) -> "NormTrace":
+        return self
 
     @property
     def norms(self) -> tuple[Fraction, ...]:
-        return tuple(e.norm for e in self.entries)
+        return tuple(e.norm for e in self)
+
+    def __repr__(self):
+        return f"NormTrace(entries={tuple(self)!r})"
 
 
 class TraceStream:

@@ -118,13 +118,19 @@ def family_pa(rng: random.Random) -> Pa:
     return Pa(states, letters, dist(False), delta, rng.sample(states, rng.randint(0, n)))
 
 
+def rebuilt(c: TwinPa, **changes) -> TwinPa:
+    """`c` rebuilt through the `TwinPa` constructor, which runs every role
+    check again, with `changes` in place of the fields they name."""
+    fields = dict(pa=c.pa, twin_of=c.twin_of, hash=c.hash, q0=c.q0, q0_hat=c.q0_hat,
+                  q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
+    return TwinPa(**{**fields, **changes})
+
+
 def corrupted(c: TwinPa, state: str, letter: str, row: dict) -> TwinPa:
     """Replace one delta row of a twin, keeping the role metadata."""
     delta = dict(c.pa.delta)
     delta[(state, letter)] = Dist(row)
-    pa = Pa(c.pa.states, c.pa.alphabet, c.pa.initial, delta, c.pa.accepting)
-    return TwinPa(pa=pa, twin_of=dict(c.twin_of), hash=c.hash, q0=c.q0,
-                  q0_hat=c.q0_hat, q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
+    return rebuilt(c, pa=Pa(c.pa.states, c.pa.alphabet, c.pa.initial, delta, c.pa.accepting))
 
 
 def scored_shortlex(pa: Pa, max_len: int) -> list[tuple[Word, Fraction]]:

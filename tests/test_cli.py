@@ -39,6 +39,7 @@ from helpers import (
     random_dist,
     random_value1_instance,
     random_word,
+    rebuilt,
     reference_absorb,
     reference_outcome,
 )
@@ -149,15 +150,19 @@ def test_lift_twin_pipeline(files, tmp_path, capsys):
     assert restored.pa == twin(lift(b_one())).pa
 
 
-def test_pipeline_in_separate_processes(tmp_path):
-    # `python -m pasynch` as real processes, from a `.pa` file to a certificate
+def _child_pasynch(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m pasynch ARGV` as a real process, with this package on its path."""
     src = os.path.dirname(os.path.dirname(core.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "pasynch", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
+
+def test_pipeline_in_separate_processes(tmp_path):
+    # `python -m pasynch` as real processes, from a `.pa` file to a certificate
     def pasynch(*argv):
-        done = subprocess.run([sys.executable, "-m", "pasynch", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = _child_pasynch(*argv)
         assert done.returncode == 0, done.stderr
         return done.stdout
 
@@ -171,6 +176,69 @@ def test_pipeline_in_separate_processes(tmp_path):
     schedule = ",".join(".".join(filter(None, (line.partition(": ")[2], "@sym:$")))
                         for line in lines)
     assert pasynch("certify", twinned, "--schedule", schedule).splitlines()[-1] == "PASS"
+
+
+# one letter keeps 1/10^100 on the accepting start state, so after 43 letters
+# the acceptance probability is 1/10^4300: its denominator has 4,301 digits,
+# one past CPython's default limit on int/str conversion
+BIG_LETTERS = 43
+BIG_DEN = "1" + "0" * 100 * BIG_LETTERS
+
+
+def _shrinking_pa_file(tmp_path) -> str:
+    keep = Fraction(1, 10 ** 100)
+    path = str(tmp_path / "shrink.pa")
+    save_pa(Pa(("s", "z"), ("a",), {"s": 1},
+               {("s", "a"): {"s": keep, "z": 1 - keep}, ("z", "a"): {"z": 1}}, ("s",)), path)
+    return path
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_numbers_past_the_digit_limit_are_printed_exactly(tmp_path, capsys):
+    path = _shrinking_pa_file(tmp_path)
+    word = ".".join("a" * BIG_LETTERS)
+    limit = sys.get_int_max_str_digits()
+    expected = [{"s": Fraction(1, 10 ** (100 * i)), "z": 1 - Fraction(1, 10 ** (100 * i))}
+                for i in range(BIG_LETTERS + 1)]
+
+    assert main(["accept", path, "--word", word]) == 0
+    assert capsys.readouterr().out == f"1/{BIG_DEN}\n"
+    assert main(["run", path, "--word", word]) == 0
+    assert capsys.readouterr().out == f"s 1/{BIG_DEN}\nz {'9' * (len(BIG_DEN) - 1)}/{BIG_DEN}\n"
+    assert main(["trace", path, "--word", word]) == 0
+    printed = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    # a library caller reads these numbers back only once it lifts the limit itself
+    with pytest.raises(InputError, match="sys.set_int_max_str_digits"):
+        read_trace_csv(io.StringIO(printed))
+    with _no_digit_limit():
+        assert read_trace_csv(io.StringIO(printed)) == (("s", "z"), expected)
+
+    csv_path = tmp_path / "big.csv"
+    for argv in (["trace", path, "--word", word],
+                 ["lasso", path, "--loop", "a", "--reps", str(BIG_LETTERS)]):
+        assert main([*argv, "--csv", str(csv_path)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        with _no_digit_limit():
+            assert read_trace_csv(io.StringIO(csv_path.read_text())) == (("s", "z"), expected)
+    assert main(["accept", path, "--word", "b"]) == 2
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_numbers_past_the_digit_limit_in_a_child_process(tmp_path):
+    done = _child_pasynch("accept", _shrinking_pa_file(tmp_path),
+                          "--word", ".".join("a" * BIG_LETTERS))
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"1/{BIG_DEN}\n", "")
 
 
 def test_twin_requires_lift_metadata(files, capsys):
@@ -500,8 +568,7 @@ def _odd_base_twin() -> TwinPa:
 
     pa = Pa(c.pa.states, c.pa.alphabet, thirds(c.pa.initial),
             {key: thirds(row) for key, row in c.pa.delta.items()}, c.pa.accepting)
-    return TwinPa(pa=pa, twin_of=dict(c.twin_of), hash=c.hash, q0=c.q0,
-                  q0_hat=c.q0_hat, q_f=c.q_f, q_n=c.q_n, dollar=c.dollar)
+    return rebuilt(c, pa=pa)
 
 
 @pytest.mark.parametrize("horizon", (0, 1, 3, 100))

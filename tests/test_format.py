@@ -1,5 +1,4 @@
 """Document format: parsing, serialization, round trips, CSV traces."""
-import dataclasses
 import io
 import random
 from fractions import Fraction
@@ -27,7 +26,7 @@ from pasynch import (
     twin,
     write_trace_csv,
 )
-from helpers import random_value1_instance, reference_parse_pa
+from helpers import random_value1_instance, rebuilt, reference_parse_pa
 
 B_ONE_DOC = """\
 format: pa/1
@@ -245,7 +244,7 @@ def test_serialize_is_the_same_for_shared_and_distinct_rows():
     assert len({id(row) for row in pa.delta.values()}) < len(pa.delta)
     assert len({id(row) for row in fresh.delta.values()}) == len(fresh.delta)
     assert serialize_pa(fresh) == serialize_pa(pa)
-    assert serialize_pa(dataclasses.replace(c, pa=fresh)) == serialize_pa(c)
+    assert serialize_pa(rebuilt(c, pa=fresh)) == serialize_pa(c)
 
 
 @pytest.mark.parametrize("state, letter, message", (

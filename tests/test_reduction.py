@@ -1,6 +1,5 @@
 """Lift and twin constructions plus the exact checkers."""
 import copy
-import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -31,6 +30,7 @@ from helpers import (
     random_dist,
     random_value1_instance,
     random_word,
+    rebuilt,
     reference_check_p1,
     reference_check_p2,
 )
@@ -253,10 +253,10 @@ class TestImmutableTwin:
     def test_twin_of_is_a_copy_of_the_given_map(self):
         c = twin(lift(b_half()))
         pairs = dict(c.twin_of)
-        rebuilt = dataclasses.replace(c, twin_of=pairs)
+        rebuilt_c = rebuilt(c, twin_of=pairs)
         pairs["s0"] = "nosuch"
-        assert rebuilt.twin_of["s0"] == c.q0_hat
-        assert rebuilt == c
+        assert rebuilt_c.twin_of["s0"] == c.q0_hat
+        assert rebuilt_c == c
 
     @pytest.mark.parametrize("clone", (
         copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)),
@@ -267,7 +267,7 @@ class TestImmutableTwin:
         assert other == c and other is not c
         with pytest.raises(TypeError):
             other.twin_of["s0"] = "nosuch"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="immutable"):
             other.q0 = "nosuch"
 
 
@@ -276,13 +276,13 @@ def _sink_paired_with_a_new_state(c):
     success sink's hat."""
     delta = {**c.pa.delta, **{("x", a): {"x": 1} for a in c.pa.alphabet}}
     pa = Pa(c.pa.states + ("x",), c.pa.alphabet, c.pa.initial, delta, c.pa.accepting)
-    return dataclasses.replace(c, pa=pa, twin_of={**c.twin_of, c.q_f: "x"})
+    return rebuilt(c, pa=pa, twin_of={**c.twin_of, c.q_f: "x"})
 
 
 @pytest.mark.parametrize("build, message", (
     # no metadata edit of a twin document reaches either error: `parse_pa`
     # refuses a hat named twice, and pairing the success sink needs a new state
-    (lambda c: dataclasses.replace(c, twin_of={**c.twin_of, "sA": c.q0_hat}),
+    (lambda c: rebuilt(c, twin_of={**c.twin_of, "sA": c.q0_hat}),
      "twin map must be a bijection"),
     (_sink_paired_with_a_new_state, "the success sink has no twin"),
 ))

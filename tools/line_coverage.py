@@ -24,11 +24,10 @@ SRC = ROOT / "src"
 
 # Lines that run only in child processes, which the tracer does not see:
 # `test_pipeline_in_separate_processes` runs `python -m pasynch`, which is
-# all of `__main__.py`, and no test runs `cli.py` as a script. The value
-# is the set of stripped line texts allowed to stay unrun, None for all.
+# all of `__main__.py`. The value is the set of stripped line texts allowed
+# to stay unrun, None for all.
 ALLOWED: dict[str, set[str] | None] = {
     "__main__.py": None,
-    "cli.py": {"sys.exit(main())"},
 }
 
 
