@@ -285,8 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # exact numbers are printed and read whole, past CPython's int/str digit
-    # limit (3.10.7 and later); the caller's limit is restored on return
+    # exact numbers are printed whole, past CPython's int/str digit limit
+    # (3.10.7 and later; literals read stay bounded by core.MAX_LITERAL_LEN);
+    # the caller's limit is restored on return
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)

@@ -22,6 +22,9 @@ HALF = Fraction(1, 2)
 
 # the only probability literals: ASCII digits, optionally over ASCII digits
 _LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+# longest string literal read, whatever CPython's int/str digit limit: parsing
+# is quadratic in its digits before Python 3.12, so reading stays linear in size
+MAX_LITERAL_LEN = 10_000
 _NO_ROLES: Mapping[str, str] = MappingProxyType({})
 
 
@@ -45,8 +48,9 @@ def as_prob(value: object) -> Fraction:
     """Coerce `value` to an exact probability in [0, 1].
 
     Accepts Fraction, int, and "p/q" or integer strings of ASCII digits
-    (no sign, point, exponent, underscore or padding); Fraction keeps
-    everything in lowest terms. Floats are refused.
+    (no sign, point, exponent, underscore or padding) of at most
+    `MAX_LITERAL_LEN` characters; Fraction keeps everything in lowest
+    terms. Floats are refused.
     """
     if isinstance(value, float):
         raise InputError(f"float probability {value!r} rejected; use an exact rational")
@@ -55,6 +59,9 @@ def as_prob(value: object) -> Fraction:
     elif isinstance(value, int):
         p = Fraction(value)
     elif isinstance(value, str):
+        if len(value) > MAX_LITERAL_LEN:
+            raise InputError(f"rational literal of {len(value):,} characters exceeds "
+                             f"the limit of {MAX_LITERAL_LEN:,}")
         try:
             p = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -28,6 +28,7 @@ from pasynch import (
     parse_pa,
     read_trace_csv,
     save_pa,
+    serialize_pa,
     twin,
     write_trace_csv,
 )
@@ -203,6 +204,8 @@ def _no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="CPython before 3.10.7 has no int/str digit limit")
 def test_numbers_past_the_digit_limit_are_printed_exactly(tmp_path, capsys):
     path = _shrinking_pa_file(tmp_path)
     word = ".".join("a" * BIG_LETTERS)
@@ -239,6 +242,34 @@ def test_numbers_past_the_digit_limit_in_a_child_process(tmp_path):
                           "--word", ".".join("a" * BIG_LETTERS))
     assert "Traceback" not in done.stderr
     assert (done.returncode, done.stdout, done.stderr) == (0, f"1/{BIG_DEN}\n", "")
+
+
+def test_main_runs_where_python_has_no_digit_limit(monkeypatch, files, capsys):
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert main(["accept", files["b_one"], "--word", "a"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_a_literal_longer_than_the_bound_is_refused_before_parsing(tmp_path, capsys):
+    # one literal over the bound exits 2 at once, however many digits it holds;
+    # one at the bound is read, past CPython's digit limit, which main lifts
+    path = tmp_path / "long.pa"
+    source = serialize_pa(b_one().pa)
+    assert "row: s0 a sA 1\n" in source
+    for ones, code in ((core.MAX_LITERAL_LEN, 0), (core.MAX_LITERAL_LEN + 1, 2),
+                       (1_000_000, 2)):
+        path.write_text(source.replace("row: s0 a sA 1\n", f"row: s0 a sA {'0' * (ones - 1)}1\n"))
+        start = time.perf_counter()
+        assert main(["validate", str(path)]) == code
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (out, err) == ("ok\n", "")
+        else:
+            line = source[:source.index("row: s0 a sA 1")].count("\n") + 1
+            assert (out, err) == ("", f"error: line {line}: rational literal of {ones:,} "
+                                      f"characters exceeds the limit of 10,000\n")
 
 
 def test_twin_requires_lift_metadata(files, capsys):

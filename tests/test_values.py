@@ -2,7 +2,8 @@
 
 Each class is pinned by what a caller can see: copies compare equal, the
 repr names every field, fields cannot be set or deleted, and equal values
-hash alike, except the gadget roles, which hold an unhashable `Pa`.
+hash alike, except the gadget roles, which hold an unhashable `Pa`. A
+result equals the plain tuple of its fields; a gadget role does not.
 """
 import copy
 import os
@@ -71,7 +72,13 @@ def test_value_copies_repr_immutability_and_hash(name):
             setattr(value, f, getattr(value, f))
         with pytest.raises(AttributeError):
             delattr(value, f)
-    if not hashable:
+    # a result is its tuple of fields, in equality and hash; a gadget role
+    # equals only its own class
+    plain = tuple(value) if hashable else tuple(getattr(value, f) for f in fields)
+    assert (value == plain) is hashable
+    if hashable:
+        assert hash(value) == hash(plain)
+    else:
         with pytest.raises(TypeError):
             hash(value)
 
