@@ -37,7 +37,8 @@ class SearchResult(NamedTuple):
 
     Among words attaining `best_prob`, `best_word` is the shortest one,
     ties broken by the declared alphabet order. `exhausted` records that
-    the whole word space up to the bound was covered.
+    the whole word space up to the bound was covered. It carries no
+    verdict, so it is always true, like any non-empty tuple.
     """
 
     best_word: Word
@@ -50,12 +51,15 @@ class ScheduleSearchResult(NamedTuple):
     """Outcome of a threshold-ladder search; `failed_at` is the first rung
     (1-based) with no sufficient word within the length bound. `explored`
     counts the words up to the last one found in shortest-then-lex order,
-    or every word up to the bound when a rung fails."""
+    or every word up to the bound when a rung fails. True iff `ok`."""
 
     words: tuple[Word, ...]
     ok: bool
     failed_at: int | None
     explored: int
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class Certificate(NamedTuple):
@@ -160,6 +164,17 @@ def _shortlex_scan(
     whole block of words with `S_m`: that bound is at least each of their
     probabilities, again because every vector is nonnegative.
 
+    No set is built from the last one, `S_d` at `length == max_len`, so
+    once the bar is at least 0 it is built only from the letters some
+    block can beat. Letter `a` is bounded by `c_a = M_a · u_{d-1}`, one
+    `weights` call on the previous max, and is skipped when every stepped
+    pair `(v, D)` has `<v, c_a>` at most the bar times `D * den(c_a)`.
+    Every candidate `M_a · x` is at most `c_a`, as `x <= u_{d-1}`, so its
+    words are all at or below the bar, which only rises; a candidate it
+    would have dominated is at most it and so scores no word either. The
+    yields, and `explored`, are those of the full build; with no letter
+    left the scan ends.
+
     - the yielded pairs are not in lowest terms; compare them by
       cross-multiplication, never by equality of parts;
     - `pa` must be valid. Scoring skips the checks that `Kernel.advance`
@@ -177,6 +192,11 @@ def _shortlex_scan(
         if length == 1 or length > h + 1:  # m = max(length - h, 1) went up by one
             suffixes, last = [], suffixes
             for i, a in enumerate(pa.alphabet):
+                if length == max_len and bar_num >= 0:  # no block beats M_a·u_{m-1}
+                    c, den_c = k.weights(a, (top, top_den))
+                    if all(sum(map(mul, v, c)) * bar_den <= bar_num * den * den_c
+                           for v, den in layer):
+                        continue
                 for j, after in last:
                     w = k.weights(a, after)
                     if not _dominated(w, kept):

@@ -362,6 +362,74 @@ class TestSharedScan:
         assert result.explored == 50_001
 
 
+def _base4_instance() -> Value1Instance:
+    """State t holds x = 4^-|w| + the word read as base-4 digits 0, 1, 2
+    (letters a, b, c), as in `test_last_layer_is_scored_not_stepped`."""
+    letters = ("a", "b", "c")
+    delta = {}
+    for j, a in enumerate(letters):
+        delta[("s", a)] = {"s": Fraction(4 - j, 4), "t": Fraction(j, 4)}
+        delta[("t", a)] = {"s": Fraction(3 - j, 4), "t": Fraction(1 + j, 4)}
+    return Value1Instance(Pa(("s", "t"), letters, {"t": 1}, delta, accepting=("t",)))
+
+
+class TestLastSuffixSet:
+    """Once the bar is at least 0, the last suffix set `S_d` is built only
+    from the letters `a` whose bound `M_a · u_{d-1}` some block beats."""
+
+    @staticmethod
+    def _scan(monkeypatch, pa, max_len, bar):
+        """The scan's yields, and its calls in order: the letter of each
+        `Kernel.weights` call, None for each `_dominated` test."""
+        calls, weights, dominated = [], Kernel.weights, analysis._dominated
+        monkeypatch.setattr(Kernel, "weights",
+                            lambda k, a, after: calls.append(a) or weights(k, a, after))
+        monkeypatch.setattr(analysis, "_dominated",
+                            lambda *args: calls.append(None) or dominated(*args))
+        yielded = list(_shortlex_scan(pa, max_len, bar))
+        monkeypatch.undo()
+        return yielded, calls
+
+    def test_a_bar_above_every_letter_builds_no_candidate(self, monkeypatch):
+        # S_{d-1} keeps two vectors, and u_{d-1} is the weights of c^(d-1),
+        # so letter j's bound is the probability of c^h j c^(d-1): that of
+        # c^max_len, the best word of the length, less (2 - j) / 4^d. A bar
+        # at c's bound beats all three: the scan makes one bound call per
+        # letter at the last length and neither builds nor tests any
+        # candidate there
+        pa = _base4_instance().pa
+        for max_len in range(2, 9):
+            best = Fraction(2 * 4 ** max_len + 1, 3 * 4 ** max_len)
+            full, full_calls = self._scan(monkeypatch, pa, max_len, (-1, 1))
+            assert full_calls[-12:] == ["a", None, "a", None, "b", None,
+                                        "b", None, "c", None, "c", None]
+            yielded, calls = self._scan(monkeypatch, pa, max_len,
+                                        (best.numerator, best.denominator))
+            assert calls == full_calls[:-12] + ["a", "b", "c"]
+            assert yielded == [y for y in full if Fraction(*y[1:]) > best]
+            assert yielded[0] == (0, 1, 1)  # the empty word, at probability 1
+            assert all(len(_word_at(pa.alphabet, rank)) < max_len for rank, _, _ in yielded)
+
+    def test_only_the_letter_above_the_bar_is_built(self, monkeypatch):
+        # a bar at b's bound, c's less 1/4^d, skips a and b (at most the
+        # bar) and builds c's two candidates, whose words of the last
+        # length still come out
+        pa = _base4_instance().pa
+        for max_len in range(2, 9):
+            d = _suffix_depth(3, max_len)
+            best = Fraction(2 * 4 ** max_len + 1, 3 * 4 ** max_len)
+            bar = best - Fraction(1, 4 ** d)
+            full, full_calls = self._scan(monkeypatch, pa, max_len, (-1, 1))
+            yielded, calls = self._scan(monkeypatch, pa, max_len,
+                                        (bar.numerator, bar.denominator))
+            assert calls == full_calls[:-12] + ["a", "b", "c", "c", None, "c", None]
+            assert yielded == [y for y in full if Fraction(*y[1:]) > bar]
+            last = [rank for rank, _, _ in yielded
+                    if len(_word_at(pa.alphabet, rank)) == max_len]
+            assert last and all(_word_at(pa.alphabet, rank)[-d] == "c" for rank in last)
+            assert _word_at(pa.alphabet, last[-1]) == ("c",) * max_len
+
+
 def _pruned_instance(rng: random.Random, letters: str, kind: str) -> Value1Instance:
     """A random 2-6-state instance rich in dominated suffixes: absorbing
     `sinks`, rows drawn from a `pool` of two, or both; the start is a

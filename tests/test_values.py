@@ -3,7 +3,8 @@
 Each class is pinned by what a caller can see: copies compare equal, the
 repr names every field, fields cannot be set or deleted, and equal values
 hash alike, except the gadget roles, which hold an unhashable `Pa`. A
-result equals the plain tuple of its fields; a gadget role does not.
+result equals the plain tuple of its fields; a gadget role does not. A
+result with an `ok` verdict is true exactly when it holds.
 """
 import copy
 import os
@@ -81,6 +82,16 @@ def test_value_copies_repr_immutability_and_hash(name):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+def test_a_schedule_is_true_iff_ok_and_a_search_always_true():
+    # like `Certificate`, a schedule's truth is its verdict; a search
+    # result carries none, so it is true even at probability 0
+    failed = witness_schedule_search(b_half(), 2, 2)
+    assert failed.failed_at == 1 and bool(failed) is False
+    assert bool(witness_schedule_search(b_one(), 2, 3)) is True
+    result = bounded_value_search(b_half(), 0)
+    assert result.best_prob == 0 and bool(result) is True
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -15,12 +15,12 @@ against a second extraction of itself, whose spread is what the same code
 reads from another directory. The JSON file also records ``nproc``, the
 Python version, both sides' source and, counted outside the harness, the
 scan's work on 300 ``search_sweep`` ops of seed 7 on each side:
-``Kernel.advance`` and ``Kernel.weights`` calls and the words the scan
-yields above the bar its consumer sends. The counter forwards every bar,
-so both searches run as they would. A scan that takes no bar yields every
-word it scores, so on such a side the last count is of scored words; on a
-side whose scan takes the bar it is of words above it only. Parent and
-change counts then differ in meaning.
+``Kernel.advance`` and ``Kernel.weights`` calls, ``analysis._dominated``
+tests and the words the scan yields above the bar its consumer sends. The
+counter forwards every bar, so both searches run as they would. A scan
+that takes no bar yields every word it scores, so on such a side the last
+count is of scored words; on a side whose scan takes the bar it is of
+words above it only. Parent and change counts then differ in meaning.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -52,14 +52,19 @@ sys.path[:0] = ["src", "bench"]
 from pasynch import analysis
 from pasynch.semantics import Kernel
 import workloads
-counts = {"advance_calls": 0, "weights_calls": 0, "words_yielded_above_bar": 0}
+counts = {"advance_calls": 0, "weights_calls": 0, "dominated_calls": 0,
+          "words_yielded_above_bar": 0}
 advance, weights, scan = Kernel.advance, Kernel.weights, analysis._shortlex_scan
+dominated = analysis._dominated
 def counted_advance(*args):
     counts["advance_calls"] += 1
     return advance(*args)
 def counted_weights(*args):
     counts["weights_calls"] += 1
     return weights(*args)
+def counted_dominated(*args):
+    counts["dominated_calls"] += 1
+    return dominated(*args)
 def counted_scan(*args):
     inner, bar = scan(*args), None
     while True:
@@ -69,7 +74,8 @@ def counted_scan(*args):
             return
         counts["words_yielded_above_bar"] += 1
         bar = yield item
-Kernel.advance, Kernel.weights, analysis._shortlex_scan = counted_advance, counted_weights, counted_scan
+Kernel.advance, Kernel.weights = counted_advance, counted_weights
+analysis._dominated, analysis._shortlex_scan = counted_dominated, counted_scan
 wl = workloads.SearchSweep(7)
 for i in range(300):
     problem = wl.check(i, wl.op(i)())
@@ -226,8 +232,9 @@ def main(argv: list[str] | None = None) -> int:
                           args.seed + 100 * (len(plan) + i), args.seconds)
                for i, (w, n) in enumerate(aa_plan.items())},
         "counts": {
-            "what": "one process per side, outside the harness: calls of Kernel.advance "
-                    "and Kernel.weights, and words analysis._shortlex_scan yields above the "
+            "what": "one process per side, outside the harness: calls of Kernel.advance, "
+                    "Kernel.weights and analysis._dominated, and words "
+                    "analysis._shortlex_scan yields above the "
                     "bar its consumer sends (every scored word where the scan takes no bar), "
                     "over ops 0-299 of search_sweep seed 7, every op checked",
             "parent": counters(parent),
