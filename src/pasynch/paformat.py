@@ -41,6 +41,10 @@ from .core import Dist, InputError, Pa, as_prob
 from .reduction import LiftedPa, TwinPa
 from .semantics import NormTrace, TraceStream
 
+# The longest `.pa` document `load_pa` reads, in characters: a longer file
+# is refused after reading one character more, before anything is parsed.
+MAX_PA_CHARS = 10_000_000
+
 # metadata key -> the block class and field it fills, in serialized order; every
 # key holds one token except `lift.source`, and `twin_of` comes from `twin.pair` lines
 _ROLES = {
@@ -249,9 +253,11 @@ def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:
 def load_pa(path: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_PA_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    if len(text) > MAX_PA_CHARS:
+        raise InputError(f".pa file longer than the limit of {MAX_PA_CHARS:,} characters")
     return parse_pa(text, require_valid=require_valid)
 
 

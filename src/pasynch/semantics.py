@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul
+from types import FunctionType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Dist, InputError, Pa, _base_fraction
+
+# Kernels of at most this many names step through `_dense_step`'s
+# template, larger ones through `_column_step`'s sparse columns: the
+# template's work grows with n², zeros included. Up to 12 names it
+# measured faster on every step; from 13 on, it lost some ~1,000-bit
+# steps over random rows and some back steps over twins' sparse weights.
+DENSE_MAX_NAMES = 12
 
 # A distribution as the kernel holds it: (numerators, denominator), in
 # lowest terms, so two pairs are equal exactly when the masses are.
@@ -30,8 +39,13 @@ class Kernel:
     (from the initial distribution or a row target); a step that moves
     mass out of such a name, or out of a state with a missing row, raises
     the same `InputError` as `Pa.row`. Each letter's rows are compiled
-    into integer columns over `L_a`, the least common denominator of the
-    letter's entries. One step is then integer multiply-adds, `den *= L_a`
+    into integer numerators over `L_a`, the least common denominator of
+    the letter's entries, and into two steps on them: forward for
+    `advance` and its transpose for `weights`. A kernel of at most
+    `DENSE_MAX_NAMES` names gets both from one call of its size's
+    straight-line template (`_dense_step`) on one dense tuple of n²
+    numerators; a larger one reads one `itemgetter` column per target
+    (`_column_step`). One step is then integer multiply-adds, `den *= L_a`
     and a reduction to lowest terms over the kernel's *base*, the lcm of
     the start denominator and every `L_a`: see `advance`. `norm` and
     `fraction` reduce the same way and build their `Fraction` without a
@@ -82,6 +96,12 @@ class Kernel:
             for target, p in row.items():
                 entries.append((self._index[target], i, p.numerator, p.denominator))
         den = lcm(*{e[3] for e in entries})
+        n = len(self.names)
+        if n <= DENSE_MAX_NAMES:
+            dense = [0] * (n * n)
+            for j, i, num, d in entries:
+                dense[i * n + j] = num * (den // d)
+            return (den, *_dense_step(n)(tuple(dense)), errors + unknown)
         columns = [([], []) for _ in self.names]
         for j, i, num, d in entries:
             sources, nums = columns[j]
@@ -90,8 +110,8 @@ class Kernel:
         # itemgetter(*src)(v) fetches a column's sources in one C call; the
         # two spare indices make it return a tuple for zero or one source
         # too, and `map(mul, ..., nums)` stops at the end of `nums`
-        return (den, [(itemgetter(*src, 0, 0), tuple(nums)) for src, nums in columns],
-                errors + unknown)
+        return (den, *_column_step(n, [(itemgetter(*src, 0, 0), tuple(nums))
+                                       for src, nums in columns]), errors + unknown)
 
     def ints(self, d: Dist) -> Ints:
         """`d` over the kernel's names; positive mass elsewhere is an `InputError`."""
@@ -132,12 +152,12 @@ class Kernel:
         distribution may carry primes outside the base; `step` takes those
         out itself.
         """
-        den_a, columns, errors = self._letters[letter]
+        den_a, forward, _, errors = self._letters[letter]
         v, den = pair
         for i, message in errors:
             if v[i]:
                 raise InputError(message)
-        new = [sum(map(mul, get(v), nums)) for get, nums in columns]
+        new = forward(v)
         den *= den_a
         g = gcd(self._base, den, *new)
         while g != 1:
@@ -154,16 +174,9 @@ class Kernel:
         weights `(w_x, L_x)` of a word `x` (`accept` for the empty word),
         the weights of `letter·x`, not reduced. `w_x[i] / L_x` is the mass
         state `i` sends into the accepting states along `x`."""
-        den_a, columns, _ = self._letters[letter]
-        ids = range(len(self.names))  # a column's getter maps these to its sources
+        den_a, _, back, _ = self._letters[letter]
         x, den_x = after
-        w = [0] * len(self.names)
-        for j, xj in enumerate(x):
-            if xj:
-                get, nums = columns[j]
-                for i, num in zip(get(ids), nums):
-                    w[i] += num * xj
-        return tuple(w), den_a * den_x
+        return tuple(back(x)), den_a * den_x
 
     def walk(self, word: Iterable[str]) -> Iterator[Ints]:
         """The pair at every step of `word`, from the start distribution on."""
@@ -172,6 +185,54 @@ class Kernel:
         for a in word:
             pair = self.advance(pair, a)
             yield pair
+
+
+@cache
+def _dense_step(n: int):
+    """`make(c)` for kernels of `n` names, compiled once per process.
+
+    `c` holds a letter's n² numerators, `c[i * n + j]` from source `i` to
+    target `j`. `make(c)` returns the forward step
+    `x -> (sum_i x[i] * c[i * n + j] for each j)` and its transpose
+    `x -> (sum_j c[i * n + j] * x[j] for each i)`, both tuples, each entry
+    one straight-line expression. Both are functions of the template's
+    code whose default arguments are `c` itself, one local per constant,
+    so a letter costs one tuple and two function objects and no compile.
+    The source holds identifiers only, never a name, letter or number of
+    an automaton, so no constant meets the int/str digit limit.
+    """
+    ids = range(n)
+    xs = "".join(f"x{i}, " for i in ids)
+    cs = "".join(f", c{i}_{j}" for i in ids for j in ids)
+    forward = "".join(" + ".join(f"x{i}*c{i}_{j}" for i in ids) + ", " for j in ids)
+    back = "".join(" + ".join(f"c{i}_{j}*x{j}" for j in ids) + ", " for i in ids)
+    scope: dict = {}
+    exec(compile(f"def forward(x{cs}):\n    [{xs}] = x\n    return ({forward})\n"
+                 f"def back(x{cs}):\n    [{xs}] = x\n    return ({back})\n",
+                 f"<dense step, {n} names>", "exec"), scope)
+    fwd, bwd = scope["forward"].__code__, scope["back"].__code__
+
+    def make(c: tuple) -> tuple:
+        return FunctionType(fwd, scope, None, c), FunctionType(bwd, scope, None, c)
+    return make
+
+
+def _column_step(n: int, columns: list) -> tuple:
+    """The forward step and its transpose over `columns`, one
+    `(getter, numerators)` pair per target, as `_dense_step` makes them."""
+    ids = range(n)  # a column's getter maps these to its sources
+
+    def forward(v):
+        return [sum(map(mul, get(v), nums)) for get, nums in columns]
+
+    def back(x):
+        w = [0] * n
+        for xj, (get, nums) in zip(x, columns):
+            if xj:
+                for i, num in zip(get(ids), nums):
+                    w[i] += num * xj
+        return w
+    return forward, back
 
 
 def step(pa: Pa, d: Dist, letter: str) -> Dist:

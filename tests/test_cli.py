@@ -32,7 +32,7 @@ from pasynch import (
     twin,
     write_trace_csv,
 )
-from pasynch import core
+from pasynch import core, paformat
 from pasynch.cli import _build_parser, main
 from helpers import (
     corrupted,
@@ -272,6 +272,17 @@ def test_a_literal_longer_than_the_bound_is_refused_before_parsing(tmp_path, cap
                                       f"characters exceeds the limit of 10,000\n")
 
 
+def test_a_pa_file_longer_than_the_bound_is_refused_unparsed(tmp_path, capsys):
+    # a comment pads b_one's document to the bound, then one character past it
+    path = tmp_path / "padded.pa"
+    source = serialize_pa(b_one().pa)
+    for size, code in ((paformat.MAX_PA_CHARS, 0), (paformat.MAX_PA_CHARS + 1, 2)):
+        path.write_text(source + "#" + "x" * (size - len(source) - 2) + "\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == code
+        assert capsys.readouterr() == (("ok\n", "") if code == 0 else (
+            "", "error: .pa file longer than the limit of 10,000,000 characters\n"))
+
+
 def test_twin_requires_lift_metadata(files, capsys):
     assert main(["twin", files["b_one"], "-o", "/dev/null"]) == 2
     assert "no lift metadata" in capsys.readouterr().err
@@ -397,6 +408,9 @@ _TWIN = ["twin", "FILE", "-o", "OUT"]
 
 
 @pytest.mark.parametrize("name, edits, argv, message", (
+    # load_pa
+    ("b_one", [("format: pa/1\n", "format: pa/1\n#" + "x" * paformat.MAX_PA_CHARS + "\n")],
+     ["validate", "FILE"], ".pa file longer than the limit of 10,000,000 characters"),
     # parse_pa
     ("b_one", [("initial: s0 1", "initial:")], ["validate", "FILE"],
      "line 4: initial distribution needs at least one state/probability pair"),

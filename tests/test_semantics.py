@@ -5,7 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -30,8 +30,9 @@ from pasynch import (
     step,
     twin,
 )
+from pasynch import semantics
 from pasynch.core import _coprime_fraction
-from pasynch.semantics import Kernel, lasso_stream
+from pasynch.semantics import Kernel, _dense_step, lasso_stream
 from helpers import (
     family_pa,
     random_dist,
@@ -450,3 +451,125 @@ def test_lasso_stream_refuses_words_past_maxsize():
     assert len(stream.entries) == sys.maxsize
     assert [e.step for e, _ in zip(stream, range(3))] == [0, 1, 2]
 
+
+# -- the straight-line template against the itemgetter columns and the references
+
+def _is_template(step_function):
+    return step_function.__code__.co_filename.startswith("<dense step")
+
+
+def _both_paths(pa, monkeypatch):
+    """`pa`'s kernel on the template path and on the column path."""
+    kernels = []
+    for bound, dense in ((sys.maxsize, True), (-1, False)):
+        monkeypatch.setattr(semantics, "DENSE_MAX_NAMES", bound)
+        k = Kernel(pa)
+        assert all(_is_template(f) == dense for _, *steps, _ in k._letters.values()
+                   for f in steps)
+        kernels.append(k)
+    monkeypatch.undo()
+    return kernels
+
+
+def _run(advance, start, word):
+    """The pairs of `word` from `start`, ending in the text of the
+    `InputError` that stops the run, if one does."""
+    run = [start]
+    try:
+        for a in word:
+            run.append(advance(run[-1], a))
+    except InputError as exc:
+        run.append(str(exc))
+    return run
+
+
+def _pair(d, names):
+    masses = [d.mass(q) for q in names]
+    den = lcm(*(p.denominator for p in masses))
+    return tuple(p.numerator * (den // p.denominator) for p in masses), den
+
+
+def _reference_weights(pa, names, letter, after):
+    """`Kernel.weights` as masses, from the rows themselves: state `i`
+    sends `sum_t row_i(t) * x[t] / den` on; a missing row sends nothing."""
+    x, den = after
+    at = dict(zip(names, x))
+    rows = (pa.delta.get((q, letter)) for q in names)
+    return [sum((p * Fraction(at[t], den) for t, p in row.items()), Fraction(0))
+            if row else Fraction(0) for row in rows]
+
+
+def _assert_paths_agree(pa, rng, monkeypatch, words=4):
+    dense, columns = _both_paths(pa, monkeypatch)
+    names = dense.names
+    assert columns.names == names and dense.start == columns.start
+    for _ in range(words):
+        word = random_word(rng, pa.alphabet, 10)
+        got = _run(dense.advance, dense.start, word)
+        assert got == _run(columns.advance, columns.start, word)
+        want = _run(lambda d, a: reference_step(pa, d, a), pa.initial, word)
+        assert got == [x if isinstance(x, str) else _pair(x, names) for x in want]
+        if set(names) == pa.state_set and all((q, a) in pa.delta
+                                              for q in pa.states for a in pa.alphabet):
+            assert dense.dist(got[-1]) == matrix_oracle(pa, word)[-1]
+    for a in pa.alphabet:
+        after = (tuple(rng.choice((0, 1, rng.randrange(10 ** 30))) for _ in names),
+                 rng.randint(1, 10 ** 6))
+        w, den = dense.weights(a, after)
+        assert (w, den) == columns.weights(a, after)  # unreduced, so equal as integers
+        assert [Fraction(x, den) for x in w] == _reference_weights(pa, names, a, after)
+
+
+def _random_defective_pa(rng, n):
+    """A random automaton of `n` states over `a, b` with numerators as
+    distinct as `max_den` 60 makes them and at most one defect: a missing
+    row, or a row that sends mass into the undeclared name `z`."""
+    states = tuple(f"q{i}" for i in range(n))
+    delta = {(q, a): random_dist(rng, states, 60) for q in states for a in "ab"}
+    defect = rng.choice((None, "missing", "undeclared")) if states else None
+    key = rng.choice(sorted(delta)) if defect else None
+    if defect == "missing":
+        del delta[key]
+    elif defect == "undeclared":
+        third = Fraction(1, 3)
+        delta[key] = {"z": third, **{q: p * 2 * third for q, p in delta[key].items()}}
+    return Pa(states, ("a", "b"), random_dist(rng, states, 60), delta,
+              rng.sample(states, rng.randint(0, n)))
+
+
+@pytest.mark.parametrize("n", range(semantics.DENSE_MAX_NAMES + 5))
+def test_template_and_columns_step_like_the_references(n, monkeypatch):
+    # the default kernel takes the template up to the bound and columns past it
+    assert (n <= semantics.DENSE_MAX_NAMES) == _is_template(Kernel(
+        Pa(tuple(f"q{i}" for i in range(n)), ("a",), {}, {}))._letters["a"][1])
+    rng = random.Random(0x5EED + n)
+    for _ in range(6):
+        _assert_paths_agree(_random_defective_pa(rng, n), rng, monkeypatch)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int/str digit limit before CPython 3.10.7")
+def test_constants_past_the_digit_limit_never_meet_it(monkeypatch):
+    # 10^4400 has more digits than the default limit lets str() convert
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        _dense_step.cache_clear()  # compile the template under the limit too
+        tiny = Fraction(1, 10 ** 4400)
+        pa = Pa(("p", "q"), ("a", "b"), {"p": 1},
+                {("p", "a"): {"p": tiny, "q": 1 - tiny}, ("q", "a"): {"p": 1},
+                 ("p", "b"): {"q": 1}, ("q", "b"): {"p": tiny, "q": 1 - tiny}}, ("q",))
+        for k in _both_paths(pa, monkeypatch):
+            assert k._letters["a"][0] == 10 ** 4400
+        _assert_paths_agree(pa, random.Random(3), monkeypatch)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_state_names_and_letters_that_read_as_python_never_reach_the_template(monkeypatch):
+    states = ("v0); import os #", "c0_0", "x0", "make", "forward", "0", "]", "1/2")
+    letters = ("c0_1", "return x", "x1 = 7")
+    rng = random.Random(11)
+    delta = {(q, a): random_dist(rng, states, 60) for q in states for a in letters}
+    pa = Pa(states, letters, {states[0]: 1}, delta, states[::3])
+    _assert_paths_agree(pa, rng, monkeypatch, words=8)
