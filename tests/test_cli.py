@@ -408,9 +408,6 @@ _TWIN = ["twin", "FILE", "-o", "OUT"]
 
 
 @pytest.mark.parametrize("name, edits, argv, message", (
-    # load_pa
-    ("b_one", [("format: pa/1\n", "format: pa/1\n#" + "x" * paformat.MAX_PA_CHARS + "\n")],
-     ["validate", "FILE"], ".pa file longer than the limit of 10,000,000 characters"),
     # parse_pa
     ("b_one", [("initial: s0 1", "initial:")], ["validate", "FILE"],
      "line 4: initial distribution needs at least one state/probability pair"),
@@ -484,6 +481,9 @@ _TWIN = ["twin", "FILE", "-o", "OUT"]
      ["check-p2", "FILE", "b_one_twin", "--word", "a"],
      "alphabet mismatch between lifted automaton and twin"),
     ("b_one", [], ["schedule", "FILE", "--k", "0", "--max-len", "3"], "k must be >= 1, got 0"),
+    # load_pa
+    ("b_one", [("format: pa/1\n", "format: pa/1\n#" + "x" * paformat.MAX_PA_CHARS + "\n")],
+     ["validate", "FILE"], ".pa file longer than the limit of 10,000,000 characters"),
 ))
 def test_input_errors_name_their_cause(files, tmp_path, capsys, name, edits, argv, message):
     # `name`'s document with each `old` text replaced by `new` is FILE
