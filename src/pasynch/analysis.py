@@ -8,7 +8,8 @@ of the searches mean "not found within the bound", nothing stronger.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Generator, NamedTuple, Sequence
 
@@ -26,6 +27,11 @@ from .reduction import TwinPa, Value1Instance, build_witness_prefix
 from .semantics import Ints, Kernel
 
 DEFAULT_BUDGET = 1 << 20
+
+# A search layer's shared denominator is reduced only past this many bits:
+# over one denominator equal distributions already have equal numerators,
+# and products of numbers this small cost about what reduced ones would.
+LAYER_DEN_BITS = 64
 
 
 class BudgetExceededError(PaError):
@@ -137,97 +143,132 @@ def _shortlex_scan(
     through. `scan.send(new_bar)` raises the bar for every word after the
     one just yielded and returns the next word above it; `next(scan)`
     keeps the bar. A `send` after the last word raises `StopIteration`.
+    `pa` must be valid, else `ValidationError`: the steps of
+    `Kernel.shared_steps` skip the checks that `Kernel.advance` makes on
+    malformed rows, which a valid automaton never fails.
 
     Acceptance after `u·x` is `<v_u, w_x> / (D_u * L_x)` (see `Kernel`),
     so a word is split into a stepped prefix and a scored suffix. Layers
-    are stepped up to `h = max_len - d`, keeping one word per kernel pair,
-    the first to reach it, as equal pairs have equal futures. `d` starts
-    at `min(2, max_len)` and grows by one while (words up to `d + 1`)² <=
-    2 * (words up to `max_len`), so the dominance tests below stay at
-    about one per word.
+    are stepped up to `h = max_len - d`, keeping one word per distinct
+    distribution, the first to reach it, as equal distributions have
+    equal futures. `d` starts at `min(2, max_len)` and grows by one while
+    (words up to `d + 1`)² <= 2 * (words up to `max_len`), so the
+    dominance tests below stay at about one per word.
+
+    Every step is one of `Kernel.shared_steps`, over `Λ`, the lcm of the
+    letters' `L_a`. A layer is a dict from numerator tuple to the index
+    of its first word, over one denominator `D` (the start's, times `Λ`
+    per step), so equal distributions have equal tuples and no pair is
+    reduced. Only once `D` passes `LAYER_DEN_BITS` bits is the layer
+    divided by its common factor, in rounds over the primes of the start
+    denominator and `Λ`, as `Kernel.advance` does for one pair.
 
     `S_0` holds the weights of the empty word, `Kernel.accept`, and
-    `S_{m+1}` the weights of `a·x`, `Kernel.weights(a, w_x)` for each kept
-    `x` of `S_m`, in lex order, made when first needed; a candidate
-    componentwise at most a kept vector of `S_0 .. S_{m+1}` is dropped.
-    Every word, the empty one included, is one dot product: the empty word
-    is layer 0 with `S_0`, words of length `1 <= l <= h + 1` are scored
-    from layer `l - 1` with `S_1`, and those of length `h + m` from layer
-    `h` with `S_m`. As every `M_a` is nonnegative, a dropped suffix stays
-    dominated under any prefix, so every skipped word has an earlier
-    yielded word of at least its probability: both searches find what a
-    full scan finds.
+    `S_{m+1}` the weights of `a·x`, the back step of `a` on each kept `x`
+    of `S_m`, in lex order, made when first needed; every vector of `S_m`
+    is over `Λ^m`. A candidate componentwise at most a kept vector of
+    `S_0 .. S_{m+1}` is dropped. Every word, the empty one included, is
+    one dot product: the empty word is layer 0 with `S_0`, words of
+    length `1 <= l <= h + 1` are scored from layer `l - 1` with `S_1`,
+    and those of length `h + m` from layer `h` with `S_m`. As every `M_a`
+    is nonnegative, a dropped suffix stays dominated under any prefix, so
+    every skipped word has an earlier yielded word of at least its
+    probability: both searches find what a full scan finds.
 
-    With `S_m` the scan keeps `u_m / L_m`, the componentwise max of its
-    vectors over the lcm `L_m` of their denominators. A stepped pair
-    `(v, D)` whose `<v, u_m> / (D * L_m)` is at most the bar skips its
-    whole block of words with `S_m`: that bound is at least each of their
-    probabilities, again because every vector is nonnegative.
+    With `S_m` the scan keeps `u_m`, the componentwise max of its
+    vectors, over `Λ^m`. A stepped pair `v` whose `<v, u_m>` is at most
+    the bar times `D * Λ^m` skips its whole block of words with `S_m`:
+    that bound is at least each of their probabilities, again because
+    every vector is nonnegative. The block bound, the letter bound below
+    and each word compare a dot product times the bar's denominator with
+    one product, the bar's numerator times `D * Λ^m`, made once per
+    layer and length and again when the bar is raised.
 
     No set is built from the last one, `S_d` at `length == max_len`, so
     once the bar is at least 0 it is built only from the letters some
     block can beat. Letter `a` is bounded by `c_a = M_a · u_{d-1}`, one
-    `weights` call on the previous max, and is skipped when every stepped
-    pair `(v, D)` has `<v, c_a>` at most the bar times `D * den(c_a)`.
-    Every candidate `M_a · x` is at most `c_a`, as `x <= u_{d-1}`, so its
-    words are all at or below the bar, which only rises; a candidate it
-    would have dominated is at most it and so scores no word either. The
+    back step on the previous max, and is skipped when every stepped
+    pair `v` has `<v, c_a>` at most the bar times `D * Λ^d`. Every
+    candidate `M_a · x` is at most `c_a`, as `x <= u_{d-1}`, so its words
+    are all at or below the bar, which only rises; a candidate it would
+    have dominated is at most it and so scores no word either. The
     yields, and `explored`, are those of the full build; with no letter
     left the scan ends.
 
-    - the yielded pairs are not in lowest terms; compare them by
-      cross-multiplication, never by equality of parts;
-    - `pa` must be valid. Scoring skips the checks that `Kernel.advance`
-      makes on malformed rows, which a validated automaton never fails.
+    The yielded pairs are not in lowest terms; compare them by value
+    (cross-multiplication or `Fraction`), never by equality of parts.
     """
+    pa.require_valid()
     k, n = Kernel.of(pa), len(pa.alphabet)
+    lam, steps = k.shared_steps()
+    forwards = [steps[a][0] for a in pa.alphabet]
+    backs = [steps[a][1] for a in pa.alphabet]
+    base = lcm(k.start[1], lam)  # every prime of every layer's D divides it
     h = max_len - _suffix_depth(n, max_len)
     bar_num, bar_den = bar
     kept = [k.accept]
-    suffixes, stride = [(0, k.accept)], 1  # the kept S_m as (lex index, weights), and n^m
-    top, top_den = k.accept  # u_m and L_m
-    layer = {k.start: 0}
+    suffixes, stride = [(0, k.accept[0])], 1  # the kept S_m as (lex index, weights), and n^m
+    top, lam_m = k.accept  # u_m and Λ^m
+    v0, den = k.start
+    layer = {v0: 0}
     offset, width = 0, 1  # rank of the first word of a length, and their number
     for length in range(max_len + 1):
         if length == 1 or length > h + 1:  # m = max(length - h, 1) went up by one
             suffixes, last = [], suffixes
-            for i, a in enumerate(pa.alphabet):
+            lam_m *= lam
+            limit = bar_num * den * lam_m
+            for i, back in enumerate(backs):
                 if length == max_len and bar_num >= 0:  # no block beats M_a·u_{m-1}
-                    c, den_c = k.weights(a, (top, top_den))
-                    if all(sum(map(mul, v, c)) * bar_den <= bar_num * den * den_c
-                           for v, den in layer):
+                    c = back(top)
+                    if all(sum(map(mul, v, c)) * bar_den <= limit for v in layer):
                         continue
                 for j, after in last:
-                    w = k.weights(a, after)
-                    if not _dominated(w, kept):
-                        kept.append(w)
+                    w = back(after)
+                    if not _dominated((w, lam_m), kept):
+                        kept.append((w, lam_m))
                         suffixes.append((i * stride + j, w))
             stride *= n
             if not suffixes:  # nor is any longer one: nothing is left to yield
                 return
-            # lists, not tuple(<iterator>): CPython allocates such a tuple at a
-            # guessed size and resizes it, so each one freed adds to the free
-            # list of its final size (up to 2,000 a size): peak RSS creeps
-            top_den = lcm(*[den for _, (_, den) in suffixes])
-            top = [max(col) for col in zip(*[[x * (top_den // den) for x in w]
-                                             for _, (w, den) in suffixes])]
-        for (v, den), index in layer.items():
-            if sum(map(mul, v, top)) * bar_den <= bar_num * den * top_den:
+            # a list, not tuple(<iterator>): CPython allocates such a tuple at
+            # a guessed size and resizes it, so each one freed adds to the
+            # free list of its final size (up to 2,000 a size): peak RSS creeps
+            top = [max(col) for col in zip(*[w for _, w in suffixes])]
+        scale = den * lam_m
+        limit = bar_num * scale
+        for v, index in layer.items():
+            if sum(map(mul, v, top)) * bar_den <= limit:
                 continue
             rank = offset + index * stride
-            for j, (w, den_w) in suffixes:
+            for j, w in suffixes:
                 num = sum(map(mul, v, w))
-                if num * bar_den > bar_num * den * den_w:
-                    sent = yield rank + j, num, den * den_w
+                if num * bar_den > limit:
+                    sent = yield rank + j, num, scale
                     if sent is not None:
                         bar_num, bar_den = sent
+                        limit = bar_num * scale
         if 0 < length <= h:
             nxt = {}
-            for pair, index in layer.items():
-                for j, a in enumerate(pa.alphabet):
-                    nxt.setdefault(k.advance(pair, a), index * n + j)
-            layer = nxt
+            for v, index in layer.items():
+                index *= n
+                for j, forward in enumerate(forwards):
+                    nxt.setdefault(forward(v), index + j)
+            layer, den = nxt, den * lam
+            if den.bit_length() > LAYER_DEN_BITS:
+                layer, den = _reduced(layer, den, base)
         offset, width = offset + width, width * n
+
+
+def _reduced(layer: dict, den: int, base: int) -> tuple[dict, int]:
+    """`layer` over `den` divided by the common factor of `den` and every
+    numerator, whose primes all divide `base`: rounds of `gcd` as in
+    `Kernel.advance`, each linear in the size of the numbers."""
+    g = gcd(base, den, *chain.from_iterable(layer))
+    while g != 1:
+        layer = {tuple([x // g for x in v]): index for v, index in layer.items()}
+        den //= g
+        g = gcd(g, den, *chain.from_iterable(layer))
+    return layer, den
 
 
 def _word_at(alphabet: Sequence[str], rank: int) -> Word:

@@ -40,24 +40,25 @@ class Kernel:
     mass out of such a name, or out of a state with a missing row, raises
     the same `InputError` as `Pa.row`. Each letter's rows are compiled
     into integer numerators over `L_a`, the least common denominator of
-    the letter's entries, and into two steps on them: forward for
-    `advance` and its transpose for `weights`. A kernel of at most
-    `DENSE_MAX_NAMES` names gets both from one call of its size's
-    straight-line template (`_dense_step`) on one dense tuple of n²
-    numerators; a larger one reads one `itemgetter` column per target
-    (`_column_step`). One step is then integer multiply-adds, `den *= L_a`
-    and a reduction to lowest terms over the kernel's *base*, the lcm of
-    the start denominator and every `L_a`: see `advance`. `norm` and
-    `fraction` reduce the same way and build their `Fraction` without a
-    second gcd. `start` is the initial pair. `Kernel.of` compiles each
-    (immutable) `Pa` once, on first use.
+    the letter's entries, and into two steps on them: forward and its
+    transpose, back. A kernel of at most `DENSE_MAX_NAMES` names gets
+    both from one call of its size's straight-line template
+    (`_dense_step`) on one dense tuple of n² numerators; a larger one
+    reads one `itemgetter` column per target (`_column_step`). One
+    `advance` is then a forward step, `den *= L_a` and a reduction to
+    lowest terms over the kernel's *base*, the lcm of the start
+    denominator and every `L_a`: see `advance`. `norm` and `fraction`
+    reduce the same way and build their `Fraction` without a second gcd.
+    `start` is the initial pair. `Kernel.of` compiles each (immutable)
+    `Pa` once, on first use.
 
     Acceptance after a word `x` is linear in the pair (Tzeng, 1992):
     `P(d·x) = <v, w_x> / (D * L_x)` for `d = v / D`. `accept` is
     `(w_ε, 1)`, the weights of the empty word: `w_ε[i]` is 1 exactly when
-    `names[i]` is accepting. `weights` builds `(w_x, L_x)` from it one
-    letter back at a time, so the last letters of a word can be scored
-    without being stepped.
+    `names[i]` is accepting. The back step of `a` builds the weights of
+    `a·x` from those of `x`, so the last letters of a word can be scored
+    without being stepped. `shared_steps` gives every letter's two steps
+    over one denominator, for the search scan's layers.
     """
 
     __slots__ = ("names", "start", "accept", "_base", "_index", "_letters")
@@ -101,7 +102,8 @@ class Kernel:
             dense = [0] * (n * n)
             for j, i, num, d in entries:
                 dense[i * n + j] = num * (den // d)
-            return (den, *_dense_step(n)(tuple(dense)), errors + unknown)
+            consts = tuple(dense)
+            return (den, *_dense_step(n)(consts), errors + unknown, consts)
         columns = [([], []) for _ in self.names]
         for j, i, num, d in entries:
             sources, nums = columns[j]
@@ -110,8 +112,8 @@ class Kernel:
         # itemgetter(*src)(v) fetches a column's sources in one C call; the
         # two spare indices make it return a tuple for zero or one source
         # too, and `map(mul, ..., nums)` stops at the end of `nums`
-        return (den, *_column_step(n, [(itemgetter(*src, 0, 0), tuple(nums))
-                                       for src, nums in columns]), errors + unknown)
+        consts = [(itemgetter(*src, 0, 0), tuple(nums)) for src, nums in columns]
+        return (den, *_column_step(n, consts), errors + unknown, consts)
 
     def ints(self, d: Dist) -> Ints:
         """`d` over the kernel's names; positive mass elsewhere is an `InputError`."""
@@ -152,7 +154,7 @@ class Kernel:
         distribution may carry primes outside the base; `step` takes those
         out itself.
         """
-        den_a, forward, _, errors = self._letters[letter]
+        den_a, forward, _, errors, _ = self._letters[letter]
         v, den = pair
         for i, message in errors:
             if v[i]:
@@ -169,14 +171,19 @@ class Kernel:
             raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
         return tuple(new), den
 
-    def weights(self, letter: str, after: Ints) -> Ints:
-        """One step back on `letter`, the transpose of `advance`: from the
-        weights `(w_x, L_x)` of a word `x` (`accept` for the empty word),
-        the weights of `letter·x`, not reduced. `w_x[i] / L_x` is the mass
-        state `i` sends into the accepting states along `x`."""
-        den_a, _, back, _ = self._letters[letter]
-        x, den_x = after
-        return tuple(back(x)), den_a * den_x
+    def shared_steps(self) -> tuple[int, dict[str, tuple]]:
+        """`Λ`, the lcm of every letter's `L_a`, and for each letter its
+        forward and back steps over `Λ`: the numerators of `M_a` times
+        `Λ / L_a`. Forward takes `v / D` to `forward(v) / (D * Λ)`, with no
+        check and no reduction; back takes weights `w_x / L` of a word `x`
+        to the weights `back(w_x) / (L * Λ)` of `a·x`, where `w_x[i] / L`
+        is the mass state `i` sends into the accepting states along `x`.
+        A letter with `L_a = Λ` lends its own steps; the others are built
+        on each call, not kept, so a kernel stays the size it was."""
+        lam = lcm(*(c[0] for c in self._letters.values()))
+        n = len(self.names)
+        return lam, {a: (forward, back) if den == lam else _scaled_steps(n, consts, lam // den)
+                     for a, (den, forward, back, _, consts) in self._letters.items()}
 
     def walk(self, word: Iterable[str]) -> Iterator[Ints]:
         """The pair at every step of `word`, from the start distribution on."""
@@ -219,11 +226,12 @@ def _dense_step(n: int):
 
 def _column_step(n: int, columns: list) -> tuple:
     """The forward step and its transpose over `columns`, one
-    `(getter, numerators)` pair per target, as `_dense_step` makes them."""
+    `(getter, numerators)` pair per target, as `_dense_step` makes them;
+    forward returns a tuple, so a step is a key."""
     ids = range(n)  # a column's getter maps these to its sources
 
     def forward(v):
-        return [sum(map(mul, get(v), nums)) for get, nums in columns]
+        return tuple([sum(map(mul, get(v), nums)) for get, nums in columns])
 
     def back(x):
         w = [0] * n
@@ -233,6 +241,15 @@ def _column_step(n: int, columns: list) -> tuple:
                     w[i] += num * xj
         return w
     return forward, back
+
+
+def _scaled_steps(n: int, consts, r: int) -> tuple:
+    """The forward and back steps of a letter's compiled numerators
+    `consts`, each times `r`: a dense tuple for the template, a column
+    list otherwise, as `Kernel._compile` made them."""
+    if isinstance(consts, tuple):
+        return _dense_step(n)(tuple([x * r for x in consts]))
+    return _column_step(n, [(get, tuple([x * r for x in nums])) for get, nums in consts])
 
 
 def step(pa: Pa, d: Dist, letter: str) -> Dist:

@@ -14,6 +14,7 @@ from pasynch import (
     InputError,
     ONE,
     Pa,
+    ValidationError,
     Value1Instance,
     ZERO,
     analysis,
@@ -240,6 +241,20 @@ def _oracle_corpus():
             yield b, max_len, scored_shortlex(b.pa, max_len)
 
 
+def _record_steps(monkeypatch, forward=None, back=None):
+    """Make `Kernel.shared_steps` hand out steps that first call
+    `forward(letter)` or `back(letter)`, where given."""
+    shared = Kernel.shared_steps
+
+    def tap(step, record, letter):
+        return step if record is None else lambda x: record(letter) or step(x)
+
+    def recorded(k):
+        lam, steps = shared(k)
+        return lam, {a: (tap(f, forward, a), tap(b, back, a)) for a, (f, b) in steps.items()}
+    monkeypatch.setattr(Kernel, "shared_steps", recorded)
+
+
 class TestSharedScan:
     """Both searches run on one shortlex scan that extends only the first
     word of each length to reach a distribution."""
@@ -334,13 +349,9 @@ class TestSharedScan:
             delta[("s", a)] = {"s": Fraction(4 - j, 4), "t": Fraction(j, 4)}
             delta[("t", a)] = {"s": Fraction(3 - j, 4), "t": Fraction(1 + j, 4)}
         b = Value1Instance(Pa(("s", "t"), letters, {"t": 1}, delta, accepting=("t",)))
-        advance, weights = Kernel.advance, Kernel.weights
         for max_len in range(9):
             calls = []
-            monkeypatch.setattr(Kernel, "advance",
-                                lambda k, pair, a: calls.append(a) or advance(k, pair, a))
-            monkeypatch.setattr(Kernel, "weights",
-                                lambda k, *args: calls.append(None) or weights(k, *args))
+            _record_steps(monkeypatch, forward=calls.append, back=lambda a: calls.append(None))
             ranks = [rank for rank, _, _ in _shortlex_scan(b.pa, max_len)]
             monkeypatch.undo()
             d = [0, 1, 2, 2, 2, 2, 3, 3, 4][max_len]
@@ -380,10 +391,9 @@ class TestLastSuffixSet:
     @staticmethod
     def _scan(monkeypatch, pa, max_len, bar):
         """The scan's yields, and its calls in order: the letter of each
-        `Kernel.weights` call, None for each `_dominated` test."""
-        calls, weights, dominated = [], Kernel.weights, analysis._dominated
-        monkeypatch.setattr(Kernel, "weights",
-                            lambda k, a, after: calls.append(a) or weights(k, a, after))
+        back step, None for each `_dominated` test."""
+        calls, dominated = [], analysis._dominated
+        _record_steps(monkeypatch, back=calls.append)
         monkeypatch.setattr(analysis, "_dominated",
                             lambda *args: calls.append(None) or dominated(*args))
         yielded = list(_shortlex_scan(pa, max_len, bar))
@@ -524,16 +534,84 @@ class TestSuffixPruning:
     def test_incomparable_suffixes_stay_within_the_depth(self, monkeypatch):
         # the suffix weights (1/2 + (-1/3)^m / 2, 1/2 - (-1/3)^m / 2) of
         # a^m are pairwise incomparable, so none is dropped and the scan
-        # makes one `weights` call per suffix length
+        # makes one back step per suffix length
         third = Fraction(1, 3)
         pa = Pa(("x", "y"), ("a",), {"x": 1},
                 {("x", "a"): {"x": third, "y": 2 * third},
                  ("y", "a"): {"x": 2 * third, "y": third}}, accepting=("x",))
-        weights, calls = Kernel.weights, []
-        monkeypatch.setattr(Kernel, "weights", lambda k, *args: calls.append(1) or weights(k, *args))
+        calls = []
+        _record_steps(monkeypatch, back=lambda a: calls.append(1))
         result = bounded_value_search(Value1Instance(pa), 6000)
         assert result.best_word == () and result.best_prob == 1 and result.explored == 6001
         assert len(calls) == _suffix_depth(1, 6000) == 108
+
+
+class TestSharedDenominator:
+    """Each stepped layer is one denominator `D` over numerator tuples,
+    divided by its common factor only once `D` passes `LAYER_DEN_BITS`."""
+
+    @staticmethod
+    def _assert_matches_references(b, max_len, scored):
+        """The scan's yields and both searches at `max_len` against
+        `scored`, from `scored_shortlex` at a bound of at least `max_len`."""
+        for rank, num, den in _shortlex_scan(b.pa, max_len):
+            assert Fraction(num, den) == scored[rank][1]
+        assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
+        for k in (1, 2, 5):
+            assert (witness_schedule_search(b, k, max_len)
+                    == reference_schedule(b, k, max_len, scored))
+
+    def test_one_letter_chains_reduced_past_the_bound(self, monkeypatch):
+        # rows over 2 and 3, so Λ = 6 and D = 6^t before any reduction. In
+        # the first chain the masses have denominators 2 * 3^(t-1), in the
+        # second they stay 1/2 (r, over 3, is never reached): once D passes
+        # 64 bits the layer is divided down to the masses' own denominator
+        third = Fraction(1, 3)
+        chains = [
+            {("p", "a"): {"q": HALF, "r": HALF}, ("q", "a"): {"q": third, "r": 2 * third},
+             ("r", "a"): {"r": 1}},
+            {("p", "a"): {"p": HALF, "q": HALF}, ("q", "a"): {"p": HALF, "q": HALF},
+             ("r", "a"): {"r": third, "p": 2 * third}},
+        ]
+        reduced, dens = analysis._reduced, []
+
+        def recorded(layer, den, base):
+            out = reduced(layer, den, base)
+            dens.append((den, out[1]))
+            return out
+        monkeypatch.setattr(analysis, "_reduced", recorded)
+        for want, delta in zip((2 * 3 ** 24, 2), chains):
+            b = Value1Instance(Pa(("p", "q", "r"), ("a",), {"p": 1}, delta, ("q",)))
+            for max_len in (0, 1, 20, 400):  # layers stepped up to 0, 0, 16 and 357
+                dens.clear()
+                self._assert_matches_references(b, max_len, scored_shortlex(b.pa, max_len))
+                if max_len < 400:
+                    assert dens == []
+                    continue
+                # 6^25 is the first D past 64 bits
+                assert dens[0] == (6 ** 25, want)
+                assert all(before.bit_length() > analysis.LAYER_DEN_BITS and after < before
+                           for before, after in dens)
+
+    def test_a_huge_denominator_matches_the_references(self):
+        # Λ = 10^4400, so every layer past the start is over the bound
+        tiny = Fraction(1, 10 ** 4400)
+        b = Value1Instance(Pa(("p", "q"), ("a", "b"), {"p": 1},
+                              {("p", "a"): {"p": tiny, "q": 1 - tiny}, ("q", "a"): {"p": 1},
+                               ("p", "b"): {"q": 1}, ("q", "b"): {"p": tiny, "q": 1 - tiny}},
+                              ("q",)))
+        scored = scored_shortlex(b.pa, 5)
+        for max_len in range(6):
+            self._assert_matches_references(b, max_len, scored)
+
+    @pytest.mark.parametrize("delta", [
+        {("p", "a"): {"q": 1}},  # no row for (q, a)
+        {("p", "a"): {"q": 1}, ("q", "a"): {"p": HALF, "q": 1}},  # a row summing to 3/2
+    ])
+    def test_a_malformed_automaton_is_refused(self, delta):
+        scan = _shortlex_scan(Pa(("p", "q"), ("a",), {"p": 1}, delta, ("q",)), 3)
+        with pytest.raises(ValidationError):
+            next(scan)
 
 
 class TestCertificate:

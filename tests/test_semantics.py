@@ -356,25 +356,33 @@ def test_walk_pairs_are_lowest_terms_over_every_denominator_family(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_weights_step_back_like_the_matrix_oracle(seed):
-    # P(u·x) = <v, w_x> / (D * L_x) for the pair (v, D) of u and the
-    # weights of x, built one letter back at a time, up to three letters
+    # P(u·x) = <v, w_x> / (D * Λ^|x|) for the pair (v, D) of u and the
+    # weights w_x of x, built by the shared back steps one letter back at
+    # a time, up to three letters, on the template and on the columns
     rng = random.Random(seed)
     pa = family_pa(rng)
-    k = Kernel.of(pa)
     u = random_word(rng, pa.alphabet, 6)
-    v, den = list(k.walk(u))[-1]
-    for a in pa.alphabet:
-        w, den_w = k.weights(a, k.accept)
-        assert [Fraction(x, den_w) for x in w] == [
-            sum((pa.delta[(q, a)].mass(t) for t in pa.accepting), Fraction(0))
-            for q in pa.states]
-    x, weights = (), k.accept
-    for _ in range(3):
-        a = rng.choice(pa.alphabet)
-        x, weights = (a, *x), k.weights(a, weights)
-        final = matrix_oracle(pa, u + x)[-1]
-        want = sum((final.mass(q) for q in pa.accepting), Fraction(0))
-        assert Fraction(sum(map(mul, v, weights[0])), den * weights[1]) == want
+    v, den = list(Kernel.of(pa).walk(u))[-1]
+    x = tuple(rng.choice(pa.alphabet) for _ in range(3))
+    with pytest.MonkeyPatch.context() as mp:
+        kernels = _both_paths(pa, mp)
+    runs = []
+    for k in kernels:
+        lam, steps = k.shared_steps()
+        for a in pa.alphabet:
+            w = steps[a][1](k.accept[0])
+            assert [Fraction(y, lam) for y in w] == [
+                sum((pa.delta[(q, a)].mass(t) for t in pa.accepting), Fraction(0))
+                for q in pa.states]
+        weights, den_x, run = k.accept[0], 1, []
+        for i in reversed(range(len(x))):
+            weights, den_x = steps[x[i]][1](weights), den_x * lam
+            final = matrix_oracle(pa, u + x[i:])[-1]
+            want = sum((final.mass(q) for q in pa.accepting), Fraction(0))
+            assert Fraction(sum(map(mul, v, weights)), den * den_x) == want
+            run.append(tuple(weights))
+        runs.append(run)
+    assert runs[0] == runs[1]  # unreduced, so equal as integers
 
 
 def test_step_masses_are_lowest_terms_past_the_base():
@@ -464,7 +472,7 @@ def _both_paths(pa, monkeypatch):
     for bound, dense in ((sys.maxsize, True), (-1, False)):
         monkeypatch.setattr(semantics, "DENSE_MAX_NAMES", bound)
         k = Kernel(pa)
-        assert all(_is_template(f) == dense for _, *steps, _ in k._letters.values()
+        assert all(_is_template(f) == dense for _, *steps, _, _ in k._letters.values()
                    for f in steps)
         kernels.append(k)
     monkeypatch.undo()
@@ -490,13 +498,26 @@ def _pair(d, names):
 
 
 def _reference_weights(pa, names, letter, after):
-    """`Kernel.weights` as masses, from the rows themselves: state `i`
-    sends `sum_t row_i(t) * x[t] / den` on; a missing row sends nothing."""
+    """A back step as masses, from the rows themselves: state `i` sends
+    `sum_t row_i(t) * x[t] / den` on; a missing row sends nothing."""
     x, den = after
     at = dict(zip(names, x))
     rows = (pa.delta.get((q, letter)) for q in names)
     return [sum((p * Fraction(at[t], den) for t, p in row.items()), Fraction(0))
             if row else Fraction(0) for row in rows]
+
+
+def _reference_forward(pa, names, letter, pair):
+    """A forward step as masses, from the rows themselves, with no check:
+    target `t` gets `sum_i x[i] / den * row_i(t)`; a missing row sends
+    nothing."""
+    x, den = pair
+    got = dict.fromkeys(names, Fraction(0))
+    for q, xq in zip(names, x):
+        row = pa.delta.get((q, letter))
+        for t, p in row.items() if row else ():
+            got[t] += Fraction(xq, den) * p
+    return list(got.values())
 
 
 def _assert_paths_agree(pa, rng, monkeypatch, words=4):
@@ -512,12 +533,24 @@ def _assert_paths_agree(pa, rng, monkeypatch, words=4):
         if set(names) == pa.state_set and all((q, a) in pa.delta
                                               for q in pa.states for a in pa.alphabet):
             assert dense.dist(got[-1]) == matrix_oracle(pa, word)[-1]
+    (lam, dense_steps), (lam_columns, column_steps) = dense.shared_steps(), columns.shared_steps()
+    assert lam == lam_columns
     for a in pa.alphabet:
+        # a letter over Λ lends its own steps; the others are rescaled on
+        # the kernel's own path
+        for k, steps, template in ((dense, dense_steps, True), (columns, column_steps, False)):
+            assert (steps[a][0] is k._letters[a][1]) == (k._letters[a][0] == lam)
+            assert all(_is_template(f) == template for f in steps[a])
         after = (tuple(rng.choice((0, 1, rng.randrange(10 ** 30))) for _ in names),
                  rng.randint(1, 10 ** 6))
-        w, den = dense.weights(a, after)
-        assert (w, den) == columns.weights(a, after)  # unreduced, so equal as integers
-        assert [Fraction(x, den) for x in w] == _reference_weights(pa, names, a, after)
+        (forward, back), (column_forward, column_back) = dense_steps[a], column_steps[a]
+        w = tuple(back(after[0]))
+        assert w == tuple(column_back(after[0]))  # unreduced, so equal as integers
+        assert [Fraction(x, after[1] * lam) for x in w] == _reference_weights(pa, names, a, after)
+        v = forward(after[0])
+        assert v == column_forward(after[0])
+        assert ([Fraction(x, after[1] * lam) for x in v]
+                == _reference_forward(pa, names, a, after))
 
 
 def _random_defective_pa(rng, n):

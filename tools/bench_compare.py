@@ -14,9 +14,14 @@ their pair counts instead; ``--aa NAME:PAIRS`` adds an A/A set, the parent
 against a second extraction of itself, whose spread is what the same code
 reads from another directory. The JSON file also records ``nproc``, the
 Python version, both sides' source and, counted outside the harness, the
-scan's work on 300 ``search_sweep`` ops of seed 7 on each side:
-``Kernel.advance`` and ``Kernel.weights`` calls, ``analysis._dominated``
-tests and the words the scan yields above the bar its consumer sends. The
+scan's work on 300 ``search_sweep`` ops of seed 7 on each side: forward
+steps, back steps, ``analysis._dominated`` tests and the words the scan
+yields above the bar its consumer sends. A forward step is a
+``Kernel.advance`` call or a call of a forward step that
+``Kernel.shared_steps`` hands out; a back step is a ``Kernel.weights``
+call or a call of a shared back step. Each side counts whichever of these
+its kernel has, so the counts mean the same on sides from before and after
+``Kernel.shared_steps`` replaced ``Kernel.weights`` in the scan. The
 counter forwards every bar, so both searches run as they would. A scan
 that takes no bar yields every word it scores, so on such a side the last
 count is of scored words; on a side whose scan takes the bar it is of
@@ -52,19 +57,24 @@ sys.path[:0] = ["src", "bench"]
 from pasynch import analysis
 from pasynch.semantics import Kernel
 import workloads
-counts = {"advance_calls": 0, "weights_calls": 0, "dominated_calls": 0,
+counts = {"forward_steps": 0, "back_steps": 0, "dominated_tests": 0,
           "words_yielded_above_bar": 0}
-advance, weights, scan = Kernel.advance, Kernel.weights, analysis._shortlex_scan
-dominated = analysis._dominated
-def counted_advance(*args):
-    counts["advance_calls"] += 1
-    return advance(*args)
-def counted_weights(*args):
-    counts["weights_calls"] += 1
-    return weights(*args)
-def counted_dominated(*args):
-    counts["dominated_calls"] += 1
-    return dominated(*args)
+def counted(f, key):
+    def call(*args):
+        counts[key] += 1
+        return f(*args)
+    return call
+Kernel.advance = counted(Kernel.advance, "forward_steps")
+if hasattr(Kernel, "weights"):
+    Kernel.weights = counted(Kernel.weights, "back_steps")
+if hasattr(Kernel, "shared_steps"):
+    shared = Kernel.shared_steps
+    def counted_shared(k):
+        lam, steps = shared(k)
+        return lam, {a: (counted(f, "forward_steps"), counted(b, "back_steps"))
+                     for a, (f, b) in steps.items()}
+    Kernel.shared_steps = counted_shared
+scan = analysis._shortlex_scan
 def counted_scan(*args):
     inner, bar = scan(*args), None
     while True:
@@ -74,8 +84,8 @@ def counted_scan(*args):
             return
         counts["words_yielded_above_bar"] += 1
         bar = yield item
-Kernel.advance, Kernel.weights = counted_advance, counted_weights
-analysis._dominated, analysis._shortlex_scan = counted_dominated, counted_scan
+analysis._dominated = counted(analysis._dominated, "dominated_tests")
+analysis._shortlex_scan = counted_scan
 wl = workloads.SearchSweep(7)
 for i in range(300):
     problem = wl.check(i, wl.op(i)())
@@ -232,11 +242,13 @@ def main(argv: list[str] | None = None) -> int:
                           args.seed + 100 * (len(plan) + i), args.seconds)
                for i, (w, n) in enumerate(aa_plan.items())},
         "counts": {
-            "what": "one process per side, outside the harness: calls of Kernel.advance, "
-                    "Kernel.weights and analysis._dominated, and words "
-                    "analysis._shortlex_scan yields above the "
-                    "bar its consumer sends (every scored word where the scan takes no bar), "
-                    "over ops 0-299 of search_sweep seed 7, every op checked",
+            "what": "one process per side, outside the harness: forward steps (calls of "
+                    "Kernel.advance and of the forward steps of Kernel.shared_steps), "
+                    "back steps (calls of Kernel.weights and of the back steps of "
+                    "Kernel.shared_steps), each counted where the side's kernel has it, "
+                    "analysis._dominated tests, and words analysis._shortlex_scan yields "
+                    "above the bar its consumer sends (every scored word where the scan "
+                    "takes no bar), over ops 0-299 of search_sweep seed 7, every op checked",
             "parent": counters(parent),
             "change": counters(change),
         },

@@ -11,15 +11,20 @@ process. Each case builds the same automaton on both sides and compares:
   random), whole results, ``explored`` included: these are the searches
   counted by ``--searches``;
 - the words ``_shortlex_scan`` yields above a fixed random bar of at
-  least 0, as (rank, num, den) triples.
+  least 0, as ``(rank, Fraction(num, den))``: a scan's yields are not in
+  lowest terms, so they are compared by value.
 
-Three cases in four are random instances: 1-6 states, 1-3 letters,
+Cases are of four kinds. 72% are plain: 1-6 states, 1-3 letters,
 ``max_len`` 0-7, denominators up to 8, rows either drawn fresh, from a
-shared pool of two, or absorbing, the start Dirac or (in plain instances)
-a random distribution. The fourth is the twin of a random lifted 1-3-state
-instance, with ``max_len`` 0-5 over its 3-5 letters. The exit status is 1
-on any mismatch, printing the first few, else 0. Only the standard library
-is used.
+shared pool of two, or absorbing, the start Dirac or a random
+distribution (Dirac in twins). 22% are twins of a random lifted 1-3-state instance, with
+``max_len`` 0-5 over their 3-5 letters. 4% are large twins, of 6-7-state
+sources at ``max_len`` 0-3: their 15-17 names are past
+``semantics.DENSE_MAX_NAMES``, so they step on columns. 2% are chains: a
+plain one-letter automaton at ``max_len`` 1,000-3,000, whose search layers
+pass ``analysis.LAYER_DEN_BITS`` and are reduced. The exit status is 1 on
+any mismatch, printing the first few, else 0. Only the standard library is
+used.
 """
 from __future__ import annotations
 
@@ -66,10 +71,11 @@ def random_dist(rng: random.Random, states: list[str]) -> dict[str, Fraction]:
     return {q: Fraction(p, den) for q, p in zip(states, parts) if p}
 
 
-def random_spec(rng: random.Random, max_states: int, dirac: bool) -> tuple:
+def random_spec(rng: random.Random, min_states: int, max_states: int, dirac: bool,
+                max_letters: int = 3) -> tuple:
     """(states, letters, initial, delta, accepting) of a random automaton."""
-    states = [f"q{i}" for i in range(rng.randint(1, max_states))]
-    letters = "abc"[:rng.randint(1, 3)]
+    states = [f"q{i}" for i in range(rng.randint(min_states, max_states))]
+    letters = "abc"[:rng.randint(1, max_letters)]
     kind = rng.choice(("plain", "pool", "sinks"))
     pool = [random_dist(rng, states) for _ in range(2)]
     sinks = set(rng.sample(states, rng.randint(0, len(states) - 1))) if kind == "sinks" else ()
@@ -89,12 +95,23 @@ def instance(package, spec: tuple, twinned: bool):
     return b
 
 
+def random_case(rng: random.Random) -> tuple:
+    """(kind, spec, max_len) of one random case; see the module docstring."""
+    r = rng.random()
+    if r < 0.02:
+        return "chain", random_spec(rng, 1, 6, False, max_letters=1), rng.randint(1000, 3000)
+    if r < 0.06:
+        return "large twin", random_spec(rng, 6, 7, True), rng.randint(0, 3)
+    if r < 0.28:
+        return "twin", random_spec(rng, 1, 3, True), rng.randint(0, 5)
+    return "plain", random_spec(rng, 1, 6, False), rng.randint(0, 7)
+
+
 def run_case(rng: random.Random, sides: dict) -> tuple[list, int]:
     """One random case on every side: its results per side, and the number
     of searches it ran on each."""
-    twinned = rng.random() < 0.25
-    spec = random_spec(rng, 3 if twinned else 6, dirac=twinned)
-    max_len = rng.randint(0, 5 if twinned else 7)
+    kind, spec, max_len = random_case(rng)
+    twinned = kind.endswith("twin")
     ks = rng.sample(range(1, 7), 2)
     bar = Fraction(rng.randint(0, 16), rng.randint(1, 16))
     out = []
@@ -104,9 +121,9 @@ def run_case(rng: random.Random, sides: dict) -> tuple[list, int]:
         out.append((
             tuple(package.bounded_value_search(b, max_len)),
             *(tuple(package.witness_schedule_search(b, k, max_len)) for k in ks),
-            list(scan),
+            [(rank, Fraction(num, den)) for rank, num, den in scan],
         ))
-    return [spec, twinned, max_len, ks, bar, out], 1 + len(ks)
+    return [kind, spec, max_len, ks, bar, out], 1 + len(ks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,22 +135,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = {"parent": load_parent(args.parent), "change": pasynch}
     rng = random.Random(args.seed)
-    cases = searches = twins = scanned = 0
+    cases = searches = scanned = 0
+    kinds = dict.fromkeys(("twin", "large twin", "chain"), 0)
     mismatches = []
     start = time.perf_counter()
     while searches < args.searches:
         case, n = run_case(rng, sides)
-        cases, searches, twins = cases + 1, searches + n, twins + case[1]
+        cases, searches = cases + 1, searches + n
+        if case[0] in kinds:
+            kinds[case[0]] += 1
         parent, change = case[-1]
         scanned += len(change[-1])
         if parent != change:
             mismatches.append(case)
-    print(f"{cases} cases ({twins} twins), {searches} searches and {cases} bar scans "
+    counts = ", ".join(f"{n} {kind}s" for kind, n in kinds.items())
+    print(f"{cases} cases ({counts}), {searches} searches and {cases} bar scans "
           f"per side, {scanned} scan yields; seed {args.seed}, "
           f"{time.perf_counter() - start:.1f} s")
     print(f"mismatches: {len(mismatches)}")
-    for spec, twinned, max_len, ks, bar, out in mismatches[:5]:
-        print(f"  twinned={twinned} max_len={max_len} k={ks} bar={bar} spec={spec}\n"
+    for kind, spec, max_len, ks, bar, out in mismatches[:5]:
+        print(f"  kind={kind} max_len={max_len} k={ks} bar={bar} spec={spec}\n"
               f"    parent: {out[0]}\n    change: {out[1]}")
     return 1 if mismatches else 0
 
