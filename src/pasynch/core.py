@@ -4,12 +4,20 @@ States and letters are plain strings. Probability mass is held as
 `fractions.Fraction` throughout, so every comparison the toolkit makes is
 an exact rational identity. Floats are rejected at the door: a single
 float would silently turn equality checks into tolerance games.
+
+Hot paths read and build masses on integers. Only this module touches the
+two slots every `Fraction` has, `_numerator` and `_denominator`:
+`_coprime_fraction` fills them, and `Dist._entries`, `Dist._texts`,
+`Dist._total_ints` and `_half` read them, so other modules never call the
+`numerator` and `denominator` properties or do `Fraction` arithmetic to
+load, compile, twin or write an automaton.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction
+from itertools import product, repeat
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -49,23 +57,39 @@ def as_prob(value: object) -> Fraction:
 
     Accepts Fraction, int, and "p/q" or integer strings of ASCII digits
     (no sign, point, exponent, underscore or padding) of at most
-    `MAX_LITERAL_LEN` characters; Fraction keeps everything in lowest
-    terms. Floats are refused.
+    `MAX_LITERAL_LEN` characters; the result is in lowest terms. Floats
+    are refused. A well-formed string is read on integers with one gcd;
+    only a string that ends in an error goes through `Fraction(value)`,
+    which words the error.
     """
-    if isinstance(value, float):
-        raise InputError(f"float probability {value!r} rejected; use an exact rational")
-    if isinstance(value, Fraction):
-        p = value
-    elif isinstance(value, int):
-        p = Fraction(value)
-    elif isinstance(value, str):
+    if isinstance(value, str):
         if len(value) > MAX_LITERAL_LEN:
             raise InputError(f"rational literal of {len(value):,} characters exceeds "
                              f"the limit of {MAX_LITERAL_LEN:,}")
+        if _LITERAL.fullmatch(value):
+            # a zero denominator or a digit string past the int/str limit
+            # falls through to the error path below
+            top, _, bottom = value.partition("/")
+            try:
+                num, den = int(top), int(bottom or 1)
+            except ValueError:
+                den = 0
+            if den:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+                if num > den:
+                    raise InputError(f"probability {_coprime_fraction(num, den)} outside [0, 1]")
+                return _coprime_fraction(num, den)
         try:
             p = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {value!r}: {exc}") from None
+    elif isinstance(value, float):
+        raise InputError(f"float probability {value!r} rejected; use an exact rational")
+    elif isinstance(value, Fraction):
+        p = value
+    elif isinstance(value, int):
+        p = Fraction(value)
     else:
         raise InputError(f"cannot read a probability from {value!r}")
     if not 0 <= p.numerator <= p.denominator:
@@ -84,6 +108,13 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     f._numerator = num
     f._denominator = den
     return f
+
+
+def _half(p: Fraction) -> Fraction:
+    """`p / 2` for a `p >= 0`, exactly and with no gcd: an even numerator
+    is halved, an odd one keeps it and doubles the denominator."""
+    num, den = p._numerator, p._denominator
+    return _coprime_fraction(num >> 1, den) if num & 1 == 0 else _coprime_fraction(num, den << 1)
 
 
 def _base_fraction(base: int, num: int, den: int) -> Fraction:
@@ -176,11 +207,22 @@ class Dist:
         """Largest single-state mass (0 for an all-zero assignment)."""
         return max(self._mass.values(), default=ZERO)
 
+    def _entries(self) -> list[tuple[str, int, int]]:
+        """`(name, num, den)` per entry, zero masses included: the mass is
+        `num / den`, in lowest terms, read from the two slots that
+        `_coprime_fraction` fills."""
+        return [(q, p._numerator, p._denominator) for q, p in self._mass.items()]
+
+    def _texts(self) -> dict[str, str]:
+        """Name -> the text `str(mass)` of each nonzero mass, in entry order."""
+        return {q: f"{p._numerator}/{p._denominator}" if p._denominator != 1 else str(p._numerator)
+                for q, p in self._mass.items() if p._numerator}
+
     def _total_ints(self) -> tuple[int, int]:
         """`(n, L)`: the total mass is `n / L`, `L` the lcm of the denominators."""
         masses = self._mass.values()
-        den = math.lcm(*(p.denominator for p in masses))
-        return sum(p.numerator * (den // p.denominator) for p in masses), den
+        den = math.lcm(*[p._denominator for p in masses])
+        return sum([p._numerator * (den // p._denominator) for p in masses]), den
 
     def total(self) -> Fraction:
         # one Fraction over the common denominator, not one per addition
@@ -263,8 +305,10 @@ class Pa:
     ):
         states, alphabet = tuple(states), tuple(alphabet)
         initial = initial if isinstance(initial, Dist) else Dist(initial)
-        delta = MappingProxyType({key: (row if isinstance(row, Dist) else Dist(row))
-                                  for key, row in dict(delta).items()})
+        delta = dict(delta)
+        if not all(map(isinstance, delta.values(), repeat(Dist))):
+            delta = {key: row if isinstance(row, Dist) else Dist(row) for key, row in delta.items()}
+        delta = MappingProxyType(delta)
         _fill(self, states, alphabet, initial, delta, frozenset(accepting),
               frozenset(states), frozenset(alphabet), None, None)
 
@@ -314,7 +358,9 @@ class Pa:
 
         Each distinct row object is checked once, however many keys share
         it, and its sum is one integer comparison over the lcm of its
-        denominators; a `Fraction` total is built only for a violation."""
+        denominators; a `Fraction` total is built only for a violation.
+        The keys are walked one by one only when one of them is missing or
+        foreign, or a row fails, to word each violation at its key."""
         if self._report is not None:
             return self._report
         v: list[str] = []
@@ -330,7 +376,9 @@ class Pa:
         def verdict(d: Dist) -> tuple[list[str], Fraction | None]:
             # (targets outside the states, the total if it is not exactly 1)
             num, den = d._total_ints()
-            return ([q for q, _ in d.items() if q not in self.state_set],
+            targets = d._mass.keys()
+            return ([] if targets <= self.state_set
+                    else [q for q in targets if q not in self.state_set],
                     None if num == den else Fraction(num, den))
 
         unknown, total = verdict(self.initial)
@@ -338,26 +386,28 @@ class Pa:
         if total is not None:
             v.append(f"initial distribution sums to {total}")
 
-        for (q, a) in self.delta:
-            if q not in self.state_set:
-                v.append(f"delta row for unknown state {q!r}")
-            elif a not in self.letter_set:
-                v.append(f"delta row for unknown letter {a!r}")
-        verdicts: dict[int, tuple[list[str], Fraction | None]] = {}  # id(row) -> verdict
-        for q in self.states:
-            for a in self.alphabet:
-                row = self.delta.get((q, a))
-                if row is None:
-                    v.append(f"delta incomplete at ({q},{a})")
-                    continue
-                found = verdicts.get(id(row))
-                if found is None:
-                    found = verdicts[id(row)] = verdict(row)
-                unknown, total = found
-                if unknown:
-                    v.extend(f"row ({q},{a}) targets unknown state {t!r}" for t in unknown)
-                if total is not None:
-                    v.append(f"row ({q},{a}) sums to {total}")
+        keys_ok = self.delta.keys() == set(product(self.states, self.alphabet))
+        if not keys_ok:
+            for (q, a) in self.delta:
+                if q not in self.state_set:
+                    v.append(f"delta row for unknown state {q!r}")
+                elif a not in self.letter_set:
+                    v.append(f"delta row for unknown letter {a!r}")
+        rows = self.delta.values()
+        # id(row) -> verdict, each distinct row once
+        verdicts = {key: verdict(row) for key, row in dict(zip(map(id, rows), rows)).items()}
+        if not keys_ok or any(unknown or total is not None for unknown, total in verdicts.values()):
+            for q in self.states:
+                for a in self.alphabet:
+                    row = self.delta.get((q, a))
+                    if row is None:
+                        v.append(f"delta incomplete at ({q},{a})")
+                        continue
+                    unknown, total = verdicts[id(row)]
+                    if unknown:
+                        v.extend(f"row ({q},{a}) targets unknown state {t!r}" for t in unknown)
+                    if total is not None:
+                        v.append(f"row ({q},{a}) sums to {total}")
 
         for q in self.accepting:
             if q not in self.state_set:

@@ -54,6 +54,7 @@ _ROLES = {
     "twin.qf": (TwinPa, "q_f"), "twin.qn": (TwinPa, "q_n"), "twin.dollar": (TwinPa, "dollar"),
 }
 _SINGLE_KEYS = {"format", "states", "letters", "initial", "accepting", *_ROLES}
+_SHORT_ROW = "row needs STATE LETTER and at least one target pair"
 
 
 class FormatError(InputError):
@@ -93,31 +94,33 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
     can be loaded for diagnosis.
     """
     singles: dict[str, tuple[list[str], int]] = {}
-    rows: list[tuple[list[str], int]] = []
+    rows: list[tuple[str, int]] = []
     pairs: list[tuple[list[str], int]] = []
     first_key: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
         key, sep, rest = stripped.partition(":")
+        if key == "row" and sep and first_key:  # most lines: split below, each body once
+            rows.append((rest, lineno))
+            continue
         key = key.strip()
         if not sep:
             raise FormatError("expected 'key: tokens...'", lineno)
-        tokens = rest.split()
         if first_key is None:
             first_key = key
             if key != "format":
                 raise FormatError("document must start with 'format: pa/1'", lineno)
         if key == "row":
-            rows.append((tokens, lineno))
+            rows.append((rest, lineno))
         elif key == "twin.pair":
-            pairs.append((tokens, lineno))
+            pairs.append((rest.split(), lineno))
         elif key in _SINGLE_KEYS:
             if key in singles:
                 raise FormatError(f"duplicate {key!r} line", lineno)
-            singles[key] = (tokens, lineno)
+            singles[key] = (rest.split(), lineno)
         else:
             raise FormatError(f"unknown key {key!r}", lineno)
 
@@ -147,18 +150,22 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
     accepting = singles["accepting"][0]
 
     delta: dict[tuple[str, str], Dist] = {}
-    bodies: dict[tuple[str, ...], Dist] = {}  # row tokens after STATE LETTER -> shared row
-    for tokens, lineno in rows:
-        if len(tokens) < 4:
-            raise FormatError("row needs STATE LETTER and at least one target pair", lineno)
-        state, letter = tokens[0], tokens[1]
+    bodies: dict[str, Dist] = {}  # row text after STATE LETTER -> shared row
+    for rest, lineno in rows:
+        head = rest.split(None, 2)
+        if len(head) < 3:
+            raise FormatError(_SHORT_ROW, lineno)
+        state, letter, body = head
+        row = bodies.get(body)
+        if row is None:  # a body not read yet: its tokens, checked before the key
+            tokens = body.split()
+            if len(tokens) < 2:
+                raise FormatError(_SHORT_ROW, lineno)
         if (state, letter) in delta:
             raise FormatError(f"duplicate row for ({state},{letter})", lineno)
-        body = tuple(tokens[2:])
-        row = bodies.get(body)
         if row is None:
             row = bodies[body] = Dist._trusted(
-                _mass_pairs(tokens[2:], lineno, what="row", parsed=parsed))
+                _mass_pairs(tokens, lineno, what="row", parsed=parsed))
         delta[(state, letter)] = row
 
     pa = Pa(state_tokens, letter_tokens, initial, delta, accepting)
@@ -207,13 +214,8 @@ def _check_token(name: str, what: str) -> str:
 
 
 def _mass_tokens(dist: Dist, order: Sequence[str]) -> str:
-    parts: list[str] = []
-    for q in order:
-        p = dist.mass(q)
-        if p:
-            parts.append(q)
-            parts.append(str(p))
-    return " ".join(parts)
+    texts = dist._texts()
+    return " ".join([f"{q} {texts[q]}" for q in order if q in texts])
 
 
 def serialize_pa(obj: Pa | LiftedPa | TwinPa) -> str:

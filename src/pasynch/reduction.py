@@ -40,6 +40,7 @@ from .core import (
     Word,
     _fill,
     _frozen,
+    _half,
 )
 from .semantics import Kernel
 
@@ -276,14 +277,20 @@ def twin(a: LiftedPa) -> TwinPa:
     reset = Dist._trusted({q0: HALF, hat[q0]: HALF})
 
     delta: dict[tuple[str, str], Dist] = {}
+    built: dict[int, Dist] = {}  # id(lifted row) -> its twinned row, each built once
     for sigma in pa.alphabet:
         for q1 in pa.states:
-            acc: dict[str, Fraction] = {}
-            for q2, p in pa.delta[(q1, sigma)].nonzero():  # only q_f has no hat
-                pair, share = ((q2, hat[q2]), HALF * p) if q2 in hat else ((q2,), p)
-                for target in pair:
-                    acc[target] = share
-            delta[(q1, sigma)] = row = Dist._trusted(acc)
+            source = pa.delta[(q1, sigma)]
+            row = built.get(id(source))
+            if row is None:
+                acc: dict[str, Fraction] = {}
+                for q2, p in source.nonzero():  # only q_f has no hat
+                    if q2 in hat:
+                        acc[q2] = acc[hat[q2]] = _half(p)
+                    else:
+                        acc[q2] = p
+                row = built[id(source)] = Dist._trusted(acc)
+            delta[(q1, sigma)] = row
             if q1 in hat:
                 delta[(hat[q1], sigma)] = row
     for q in states:

@@ -38,13 +38,15 @@ class Kernel:
     `names` lists `pa.states`, then any other name that mass can reach
     (from the initial distribution or a row target); a step that moves
     mass out of such a name, or out of a state with a missing row, raises
-    the same `InputError` as `Pa.row`. Each letter's rows are compiled
-    into integer numerators over `L_a`, the least common denominator of
-    the letter's entries, and into two steps on them: forward and its
-    transpose, back. A kernel of at most `DENSE_MAX_NAMES` names gets
-    both from one call of its size's straight-line template
-    (`_dense_step`) on one dense tuple of n² numerators; a larger one
-    reads one `itemgetter` column per target (`_column_step`). One
+    the same `InputError` as `Pa.row`. Each distinct row object is read
+    once, as integers (`Dist._entries`), however many keys share it. Each
+    letter's rows are compiled into integer numerators over `L_a`, the
+    least common denominator of the letter's entries, and into two steps
+    on them: forward and its transpose, back. A kernel of at most
+    `DENSE_MAX_NAMES` names gets both from one call of its size's
+    straight-line template (`_dense_step`) on one dense tuple of n²
+    numerators; a larger one reads one `itemgetter` column per target
+    (`_column_step`). One
     `advance` is then a forward step, `den *= L_a` and a reduction to
     lowest terms over the kernel's *base*, the lcm of the start
     denominator and every `L_a`: see `advance`. `norm` and `fraction`
@@ -74,41 +76,51 @@ class Kernel:
         rows = {a: [pa.delta.get((q, a)) for q in pa.states] for a in pa.alphabet}
         names = list(pa.states)
         index = {q: i for i, q in enumerate(names)}
-        for d in filter(None, chain((pa.initial,), *rows.values())):  # None: missing row
-            for q, _ in d.items():
-                if q not in index:
-                    index[q] = len(names)
+        # id(row) -> its (target index, numerator, denominator) entries: each
+        # distinct row object read once, names new to the kernel appended
+        entries: dict[int, list[tuple[int, int, int]]] = {}
+        for d in chain((pa.initial,), *rows.values()):
+            if d is None or id(d) in entries:  # None: a missing row
+                continue
+            out = entries[id(d)] = []
+            for q, num, den in d._entries():
+                j = index.get(q)
+                if j is None:
+                    j = index[q] = len(names)
                     names.append(q)
+                out.append((j, num, den))
         self.names = tuple(names)
         self._index = index
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
-        self._letters = {a: self._compile(a, r, unknown) for a, r in rows.items()}
+        self._letters = {a: self._compile(a, r, entries, unknown) for a, r in rows.items()}
         self.start = self.ints(pa.initial)
         self._base = lcm(self.start[1], *(c[0] for c in self._letters.values()))
         self.accept = tuple(int(q in pa.accepting) for q in names), 1
 
-    def _compile(self, letter: str, rows: list[Dist | None], unknown: list) -> tuple:
-        entries = []  # (target, source, numerator, denominator)
+    def _compile(self, letter: str, rows: list[Dist | None], entries: dict, unknown: list) -> tuple:
+        present = []  # (source index, entries) of each row there is
         errors = []
         for i, row in enumerate(rows):
             if row is None:
                 errors.append((i, f"delta incomplete at ({self.names[i]},{letter})"))
-                continue
-            for target, p in row.items():
-                entries.append((self._index[target], i, p.numerator, p.denominator))
-        den = lcm(*{e[3] for e in entries})
+            else:
+                present.append((i, entries[id(row)]))
+        den = lcm(*{d for _, row in present for _, _, d in row})
         n = len(self.names)
         if n <= DENSE_MAX_NAMES:
             dense = [0] * (n * n)
-            for j, i, num, d in entries:
-                dense[i * n + j] = num * (den // d)
+            for i, row in present:
+                at = i * n
+                for j, num, d in row:
+                    dense[at + j] = num * (den // d)
             consts = tuple(dense)
             return (den, *_dense_step(n)(consts), errors + unknown, consts)
         columns = [([], []) for _ in self.names]
-        for j, i, num, d in entries:
-            sources, nums = columns[j]
-            sources.append(i)
-            nums.append(num * (den // d))
+        for i, row in present:
+            for j, num, d in row:
+                sources, nums = columns[j]
+                sources.append(i)
+                nums.append(num * (den // d))
         # itemgetter(*src)(v) fetches a column's sources in one C call; the
         # two spare indices make it return a tuple for zero or one source
         # too, and `map(mul, ..., nums)` stops at the end of `nums`
@@ -117,13 +129,13 @@ class Kernel:
 
     def ints(self, d: Dist) -> Ints:
         """`d` over the kernel's names; positive mass elsewhere is an `InputError`."""
-        entries = list(d.nonzero())
-        den = lcm(*(p.denominator for _, p in entries))
+        entries = [e for e in d._entries() if e[1]]
+        den = lcm(*(e[2] for e in entries))
         v = [0] * len(self.names)
-        for q, p in entries:
+        for q, num, den_q in entries:
             if q not in self._index:
                 raise InputError(f"unknown state {q!r}")
-            v[self._index[q]] = p.numerator * (den // p.denominator)
+            v[self._index[q]] = num * (den // den_q)
         return tuple(v), den
 
     def dist(self, pair: Ints) -> Dist:

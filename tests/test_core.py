@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pasynch import (
     outcome,
     twin,
 )
+from pasynch.core import HALF, MAX_LITERAL_LEN, _coprime_fraction, _half
 from helpers import random_pa, reference_validate
 
 
@@ -82,6 +84,86 @@ class TestProb:
                 with pytest.raises(InputError) as err:
                     as_prob(value)
                 assert str(err.value) == f"probability {p} outside [0, 1]"
+
+    @given(st.integers(0, 10 ** 30), st.integers(1, 10 ** 30), st.integers(0, 3),
+           st.booleans())
+    def test_ascii_literals_read_as_fraction_does(self, num, den, zeros, slash):
+        text = "0" * zeros + (f"{num}/{den}" if slash else str(num))
+        want = Fraction(text)
+        if want > 1:
+            with pytest.raises(InputError) as err:
+                as_prob(text)
+            assert str(err.value) == f"probability {want} outside [0, 1]"
+            return
+        got = as_prob(text)
+        assert type(got) is Fraction and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert hash(got) == hash(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1.5", "probability 3/2 outside [0, 1]"),
+        ("0.5", "bad rational literal '0.5': use p/q or an integer, in ASCII digits"),
+        ("1/0", "bad rational literal '1/0': Fraction(1, 0)"),
+        ("0/0", "bad rational literal '0/0': Fraction(0, 0)"),
+        ("00/00", "bad rational literal '00/00': Fraction(0, 0)"),
+        ("\u0663/\u0664",
+         "bad rational literal '\u0663/\u0664': use p/q or an integer, in ASCII digits"),
+        (" 1/2", "bad rational literal ' 1/2': use p/q or an integer, in ASCII digits"),
+        # Fraction reads underscores from Python 3.11 on
+        ("1_0", "probability 10 outside [0, 1]" if sys.version_info >= (3, 11)
+         else "bad rational literal '1_0': Invalid literal for Fraction: '1_0'"),
+        ("+1", "bad rational literal '+1': use p/q or an integer, in ASCII digits"),
+        ("1" * (MAX_LITERAL_LEN + 1),
+         f"rational literal of {MAX_LITERAL_LEN + 1:,} characters exceeds the limit of "
+         f"{MAX_LITERAL_LEN:,}"),
+    ])
+    def test_error_texts(self, text, message):
+        with pytest.raises(InputError) as err:
+            as_prob(text)
+        assert str(err.value) == message
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int/str digit limit on this Python")
+    @pytest.mark.parametrize("text, digits", [("1" + "0" * 4300, "1" + "0" * 4300),
+                                              ("0/" + "7" * 4301, "7" * 4301)])
+    def test_digits_past_the_int_str_limit(self, text, digits):
+        # under the default limit (the CLI lifts it) `Fraction` words the error
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueError) as int_error:
+                int(digits)
+            with pytest.raises(InputError) as err:
+                as_prob(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == f"bad rational literal {text!r}: {int_error.value}"
+
+
+class TestFractionSlots:
+    """`core` reads and writes the two slots of `Fraction` directly; on a
+    Python whose `Fraction` stores its value elsewhere these fail, rather
+    than masses being misread."""
+
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_slots_hold_the_value(self, p):
+        assert (p._numerator, p._denominator) == (p.numerator, p.denominator)
+        q = _coprime_fraction(p.numerator, p.denominator)
+        assert type(q) is Fraction and q == p and hash(q) == hash(p)
+
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_half(self, p):
+        got, want = _half(p), p / 2
+        assert type(got) is Fraction and got == want == HALF * p
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+    @given(st.dictionaries(st.sampled_from("abcdef"), st.fractions(min_value=0, max_value=1)))
+    def test_dist_helpers(self, mass):
+        d = Dist(mass)
+        assert d._entries() == [(q, p.numerator, p.denominator) for q, p in d.items()]
+        assert d._texts() == {q: str(p) for q, p in d.items() if p}
+        num, den = d._total_ints()
+        assert Fraction(num, den) == sum(mass.values(), Fraction(0))
 
 
 class TestDist:

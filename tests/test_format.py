@@ -236,6 +236,52 @@ def test_twin_document_has_one_row_object_per_distinct_body():
     assert len({id(row) for row in pa.delta.values()}) == len(by_body) < len(pa.delta)
 
 
+SPACED_DOC = """\
+format: pa/1
+states: s0 s1
+letters: a b
+initial: s0 1
+accepting: s1
+row: s0 a s0 1/2 s1 1/2
+row: s0 b s0 1/2\ts1   1/2
+ row\t: s1 a   s1 1
+row :s1 b s1 1\t
+"""
+
+
+def test_rows_equal_up_to_whitespace_read_as_equal_automata():
+    pa = parse_pa(SPACED_DOC)
+    canonical = serialize_pa(pa)
+    assert canonical.splitlines()[5:] == [
+        "row: s0 a s0 1/2 s1 1/2", "row: s0 b s0 1/2 s1 1/2", "row: s1 a s1 1", "row: s1 b s1 1"]
+    same = parse_pa(canonical)
+    assert pa == same and serialize_pa(same) == canonical
+    # one row object per body text: the canonical document shares what the spaced one cannot
+    assert pa.delta[("s0", "a")] is not pa.delta[("s0", "b")]
+    assert same.delta[("s0", "a")] is same.delta[("s0", "b")]
+    assert same.delta[("s1", "a")] is same.delta[("s1", "b")]
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a body too short to read is reported before the key it repeats
+    (["row: s0 a sA 1", "row: s0 a sA"], 7, "row needs STATE LETTER and at least one target pair"),
+    (["row: s0 a sA 1", "row:  s0  a  "], 7, "row needs STATE LETTER and at least one target pair"),
+    (["row: s0 a sA 1", "row: s0"], 7, "row needs STATE LETTER and at least one target pair"),
+    (["row: s0 a sA 1", "row:"], 7, "row needs STATE LETTER and at least one target pair"),
+    (["row: s0 a sA 1", "row: s0 a sA 1"], 7, "duplicate row for (s0,a)"),
+    (["row: s0 a sA 1", "row: s0 a  sA  1"], 7, "duplicate row for (s0,a)"),
+    (["row: s0 a sA 1 s0", "row: sA a sA 1 s0"], 6, "row has an odd number of tokens"),
+    (["row: s0 a sA 1", "row: sA a sA 1 s0"], 7, "row has an odd number of tokens"),
+    (["row: s0 a sA 1", "row: sA a sA  1  s0"], 7, "row has an odd number of tokens"),
+    (["row: s0 a sA 1 sA 0", "row: sA a sA 1 sA 0"], 6, "row mentions 'sA' twice"),
+])
+def test_row_errors_name_their_line(rows, line, message):
+    head = B_ONE_DOC.split("row:")[0]
+    with pytest.raises(FormatError) as err:
+        parse_pa(head + "\n".join(rows) + "\n")
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
 def test_serialize_is_the_same_for_shared_and_distinct_rows():
     c = twin(lift(b_half()))
     pa = c.pa

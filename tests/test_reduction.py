@@ -187,6 +187,33 @@ class TestImmutableInstance:
 
 
 class TestTwin:
+    def test_halves_on_integers_equal_fraction_halves(self):
+        # odd and even numerators, into a hatted state and into the success sink
+        for p in (Fraction(1, 3), Fraction(2, 5), Fraction(4, 9), Fraction(6, 7), Fraction(1)):
+            pa = Pa(("s0", "s1"), ("a",), {"s0": 1},
+                    {("s0", "a"): {"s0": 1 - p, "s1": p}, ("s1", "a"): {"s1": 1}},
+                    accepting=("s1",))
+            a = lift(Value1Instance(pa))
+            c = twin(a)
+            for (q, letter), row in a.pa.delta.items():
+                want = {}
+                for t, m in row.nonzero():
+                    for u in ((t, c.twin_of[t]) if t in c.twin_of else (t,)):
+                        want[u] = HALF * m if t in c.twin_of else m
+                got = c.pa.delta[(q, letter)]
+                assert dict(got.items()) == want
+                assert all(type(m) is Fraction and (m.numerator, m.denominator)
+                           == (want[t].numerator, want[t].denominator) for t, m in got.items())
+
+    def test_each_lifted_row_object_is_twinned_once(self):
+        a = lift(b_half())
+        c = twin(a)
+        for q in a.pa.states:
+            for letter in a.pa.alphabet:
+                for other in a.pa.states:
+                    same = a.pa.delta[(q, letter)] is a.pa.delta[(other, letter)]
+                    assert (c.pa.delta[(q, letter)] is c.pa.delta[(other, letter)]) == same
+
     def test_structure(self):
         c = twin(lift(b_one()))
         assert len(c.pa.states) == 7

@@ -27,6 +27,8 @@ from pasynch import (
     max_norm_from,
     norm_trace,
     outcome,
+    parse_pa,
+    serialize_pa,
     step,
     twin,
 )
@@ -37,6 +39,7 @@ from helpers import (
     family_pa,
     random_dist,
     random_pa,
+    random_value1_instance,
     random_word,
     reference_outcome,
     reference_pairs,
@@ -606,3 +609,38 @@ def test_state_names_and_letters_that_read_as_python_never_reach_the_template(mo
     delta = {(q, a): random_dist(rng, states, 60) for q in states for a in letters}
     pa = Pa(states, letters, {states[0]: 1}, delta, states[::3])
     _assert_paths_agree(pa, rng, monkeypatch, words=8)
+
+
+def _compiled(k: Kernel) -> dict:
+    """Everything a kernel compiled, comparable across kernels: per letter
+    `L_a`, the step errors and the numerators (a column getter read on
+    the indices it maps)."""
+    ids = range(len(k.names))
+    letters = {a: (den, errors, consts if isinstance(consts, tuple)
+                   else [(get(ids), nums) for get, nums in consts])
+               for a, (den, _, _, errors, consts) in k._letters.items()}
+    return {"names": k.names, "start": k.start, "accept": k.accept, "base": k._base,
+            "letters": letters}
+
+
+# seeds 5 and 6 make twins of 13 and 17 names, which step on columns
+@pytest.mark.parametrize("seed, max_states, names", [(1, 3, 5), (3, 6, 7), (5, 7, 13),
+                                                     (6, 7, 17)])
+def test_kernels_of_shared_and_copied_rows_are_equal(seed, max_states, names):
+    rng = random.Random(seed)
+    c = twin(lift(random_value1_instance(rng, max_states=max_states)))
+    assert len(c.pa.states) == names
+    parsed = parse_pa(serialize_pa(c)).pa
+    pa = c.pa
+    copied = Pa(pa.states, pa.alphabet, Dist(dict(pa.initial.items())),
+                {key: Dist(dict(row.items())) for key, row in pa.delta.items()}, pa.accepting)
+    twin_rows, parse_rows = ({id(r) for r in x.delta.values()} for x in (pa, parsed))
+    assert len(twin_rows) < len(pa.delta) and len(parse_rows) < len(parsed.delta)
+    assert len({id(r) for r in copied.delta.values()}) == len(copied.delta)
+    kernels = [Kernel(x) for x in (pa, parsed, copied)]
+    want = _compiled(kernels[0])
+    assert all(_compiled(k) == want for k in kernels[1:])
+    for _ in range(20):
+        word = random_word(rng, pa.alphabet, 8)
+        runs = [list(k.walk(word)) for k in kernels]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
