@@ -8,8 +8,7 @@ of the searches mean "not found within the bound", nothing stronger.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, islice
 from operator import mul
 from typing import Generator, NamedTuple, Sequence
 
@@ -22,6 +21,7 @@ from .core import (
     PaError,
     Word,
     ZERO,
+    _lowest,
 )
 from .reduction import TwinPa, Value1Instance, build_witness_prefix
 from .semantics import Ints, Kernel
@@ -144,7 +144,7 @@ def _shortlex_scan(
     one just yielded and returns the next word above it; `next(scan)`
     keeps the bar. A `send` after the last word raises `StopIteration`.
     `pa` must be valid, else `ValidationError`: the steps of
-    `Kernel.shared_steps` skip the checks that `Kernel.advance` makes on
+    `Kernel.shared_steps` skip the checks that `Kernel.walk` makes on
     malformed rows, which a valid automaton never fails.
 
     Acceptance after `u·x` is `<v_u, w_x> / (D_u * L_x)` (see `Kernel`),
@@ -160,8 +160,9 @@ def _shortlex_scan(
     of its first word, over one denominator `D` (the start's, times `Λ`
     per step), so equal distributions have equal tuples and no pair is
     reduced. Only once `D` passes `LAYER_DEN_BITS` bits is the layer
-    divided by its common factor, in rounds over the primes of the start
-    denominator and `Λ`, as `Kernel.advance` does for one pair.
+    divided by its common factor, in the rounds that `Kernel.walk` runs
+    for one pair, over the kernel's base: the lcm of the start
+    denominator and `Λ`.
 
     `S_0` holds the weights of the empty word, `Kernel.accept`, and
     `S_{m+1}` the weights of `a·x`, the back step of `a` on each kept `x`
@@ -203,7 +204,6 @@ def _shortlex_scan(
     lam, steps = k.shared_steps()
     forwards = [steps[a][0] for a in pa.alphabet]
     backs = [steps[a][1] for a in pa.alphabet]
-    base = lcm(k.start[1], lam)  # every prime of every layer's D divides it
     h = max_len - _suffix_depth(n, max_len)
     bar_num, bar_den = bar
     kept = [k.accept]
@@ -255,20 +255,18 @@ def _shortlex_scan(
                     nxt.setdefault(forward(v), index + j)
             layer, den = nxt, den * lam
             if den.bit_length() > LAYER_DEN_BITS:
-                layer, den = _reduced(layer, den, base)
+                layer, den = _reduced(layer, den, k)
         offset, width = offset + width, width * n
 
 
-def _reduced(layer: dict, den: int, base: int) -> tuple[dict, int]:
+def _reduced(layer: dict, den: int, k: Kernel) -> tuple[dict, int]:
     """`layer` over `den` divided by the common factor of `den` and every
-    numerator, whose primes all divide `base`: rounds of `gcd` as in
-    `Kernel.advance`, each linear in the size of the numbers."""
-    g = gcd(base, den, *chain.from_iterable(layer))
-    while g != 1:
-        layer = {tuple([x // g for x in v]): index for v, index in layer.items()}
-        den //= g
-        g = gcd(g, den, *chain.from_iterable(layer))
-    return layer, den
+    numerator, whose primes all divide the base of `k`: the rounds of
+    `core._lowest`, each linear in the size of the numbers. Equal
+    divisors keep distinct tuples distinct, and their order."""
+    flat, den = _lowest(k._big, k._below, tuple(chain.from_iterable(layer)), den)
+    numerators, n = iter(flat), len(k.names)
+    return {tuple(islice(numerators, n)): index for index in layer.values()}, den
 
 
 def _word_at(alphabet: Sequence[str], rank: int) -> Word:
@@ -391,7 +389,8 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
     k = Kernel.of(c.pa)
     # 1/2 on each failure-pair member, in lowest terms. The second sweep
     # steps from it only once the first sweep's pairs all equalled it, so
-    # then 2 divides the base, as `Kernel.advance` requires.
+    # then 2 divides the base, as a pair that `Kernel.walk` starts from
+    # must have its primes there to end in lowest terms.
     sink_pair = tuple(int(q in (qn, qn_hat)) for q in k.names), 2
     run = list(k.walk(w))
 
@@ -415,7 +414,7 @@ def dollar_absorption_check(c: TwinPa, prefix: Sequence[str], horizon: int) -> C
         if position > end:
             break
         for a in c.lifted_alphabet:
-            got = k.advance(start, a)
+            *_, got = k.walk((a,), start)
             if got != sink_pair:
                 return CheckResult(
                     False,
@@ -432,7 +431,7 @@ def half_bound_check(c: TwinPa, w: Sequence[str]) -> CheckResult:
     k = Kernel.of(c.pa)
     for i, pair in enumerate(k.walk(word)):
         v, den = pair
-        if 2 * max(v, default=0) > den:
+        if v and 2 * max(v) > den:
             return CheckResult(False, f"step {i}: norm {k.norm(pair)} exceeds 1/2")
     return CheckResult(True)
 

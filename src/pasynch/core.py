@@ -117,15 +117,51 @@ def _half(p: Fraction) -> Fraction:
     return _coprime_fraction(num >> 1, den) if num & 1 == 0 else _coprime_fraction(num, den << 1)
 
 
-def _base_fraction(base: int, num: int, den: int) -> Fraction:
-    """`num / den` for a `den` whose primes all divide `base`, reduced over
-    `base` as in `semantics.Kernel.advance`: each round is a gcd with a
-    small number, where `Fraction(num, den)` runs one on two big ones."""
-    g = gcd(base, num, den)
+def _big_below(base: int) -> tuple[int, int]:
+    """`(big, below)` for `_lowest`: `big` the largest power of `base` below
+    2^30, one CPython digit (`base` itself past that, 1 for a base of 1),
+    and `below = big // base`."""
+    big = base
+    if base > 1:
+        while big * base < 1 << 30:
+            big *= base
+    return big, big // base
+
+
+def _lowest(big: int, below: int, nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """`nums` over `den` divided by their common factor, whose primes all
+    divide a base `B`, with `(big, below) = _big_below(B)`.
+
+    Each round divides by `g = gcd(big, den, *nums)`, a gcd of big numbers
+    with one small one. If `g` divides `below`, each prime `p` of `g` has
+    `v_p(g) < v_p(big)`, so `g` holds the whole common power of `p` and
+    the values are in lowest terms; otherwise a power may have been cut
+    short at `v_p(big)` and another round follows. `semantics.Kernel.walk`
+    and `_base_fraction` run the first round themselves and call this
+    function only when it may not be the last.
+    """
+    g = gcd(big, den, *nums)
     while g != 1:
-        num //= g
+        nums = tuple([x // g for x in nums])
         den //= g
-        g = gcd(g, num, den)
+        if below % g == 0:
+            break
+        g = gcd(big, den, *nums)
+    return nums, den
+
+
+def _base_fraction(big: int, below: int, num: int, den: int) -> Fraction:
+    """`num / den` for a `den` whose primes all divide the base of `big`
+    and `below`, reduced in `_lowest`'s rounds, where `Fraction(num, den)`
+    runs one gcd on two big numbers. The first round is inline, as in
+    `semantics.Kernel.walk`."""
+    g = gcd(big, num, den)
+    if g != 1:
+        if below % g:
+            (num,), den = _lowest(big, below, (num,), den)
+        else:
+            num //= g
+            den //= g
     return _coprime_fraction(num, den)
 
 
@@ -156,14 +192,15 @@ class Dist:
 
     @classmethod
     def _from_ints(cls, names: tuple[str, ...], nums: tuple[int, ...], den: int,
-                   base: int) -> "Dist":
+                   big: int, below: int) -> "Dist":
         """Mass `nums[i] / den` on `names[i]`, trusted to lie in [0, 1].
 
-        When the map is first read, each mass is reduced over `base`, which
-        every prime of `den` divides (`den` itself always qualifies).
+        When the map is first read, each mass is reduced by `_base_fraction`
+        over the base of `big` and `below`, which every prime of `den`
+        divides (`den` itself, with `below` 1, always qualifies).
         """
         d = cls.__new__(cls)
-        d._ints = (names, nums, den, base)
+        d._ints = (names, nums, den, big, below)
         return d
 
     @classmethod
@@ -179,8 +216,9 @@ class Dist:
         # only reached while the `_mass` slot of a `_from_ints` distribution is unset
         if name != "_mass":
             raise AttributeError(name)
-        names, nums, den, base = self._ints
-        self._mass = mass = {q: _base_fraction(base, x, den) for q, x in zip(names, nums) if x}
+        names, nums, den, big, below = self._ints
+        self._mass = mass = {q: _base_fraction(big, below, x, den)
+                             for q, x in zip(names, nums) if x}
         del self._ints
         return mass
 

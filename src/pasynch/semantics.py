@@ -12,13 +12,13 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from math import gcd, lcm
 from operator import itemgetter, mul
 from types import FunctionType
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Dist, InputError, Pa, _base_fraction
+from .core import Dist, InputError, Pa, _base_fraction, _big_below, _lowest
 
 # Kernels of at most this many names step through `_dense_step`'s
 # template, larger ones through `_column_step`'s sparse columns: the
@@ -46,11 +46,12 @@ class Kernel:
     `DENSE_MAX_NAMES` names gets both from one call of its size's
     straight-line template (`_dense_step`) on one dense tuple of n²
     numerators; a larger one reads one `itemgetter` column per target
-    (`_column_step`). One
-    `advance` is then a forward step, `den *= L_a` and a reduction to
-    lowest terms over the kernel's *base*, the lcm of the start
-    denominator and every `L_a`: see `advance`. `norm` and `fraction`
-    reduce the same way and build their `Fraction` without a second gcd.
+    (`_column_step`). `walk` is the one loop that steps a pair: per
+    letter a forward step, `den *= L_a` and a reduction to lowest terms
+    over the kernel's *base*, the lcm of the start denominator and every
+    `L_a`, in the rounds of `core._lowest`. `norm`, acceptance
+    probabilities and the masses of `dist` reduce the same way and build
+    their `Fraction` without a second gcd.
     `start` is the initial pair. `Kernel.of` compiles each (immutable)
     `Pa` once, on first use.
 
@@ -63,7 +64,7 @@ class Kernel:
     over one denominator, for the search scan's layers.
     """
 
-    __slots__ = ("names", "start", "accept", "_base", "_index", "_letters")
+    __slots__ = ("names", "start", "accept", "_big", "_below", "_index", "_letters")
 
     @classmethod
     def of(cls, pa: Pa) -> "Kernel":
@@ -94,7 +95,8 @@ class Kernel:
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
         self._letters = {a: self._compile(a, r, entries, unknown) for a, r in rows.items()}
         self.start = self.ints(pa.initial)
-        self._base = lcm(self.start[1], *(c[0] for c in self._letters.values()))
+        self._big, self._below = _big_below(
+            lcm(self.start[1], *(c[0] for c in self._letters.values())))
         self.accept = tuple(int(q in pa.accepting) for q in names), 1
 
     def _compile(self, letter: str, rows: list[Dist | None], entries: dict, unknown: list) -> tuple:
@@ -141,47 +143,12 @@ class Kernel:
     def dist(self, pair: Ints) -> Dist:
         """`pair`, whose primes all divide the base, as a `Dist` whose masses
         are reduced over the base."""
-        return Dist._from_ints(self.names, *pair, self._base)
-
-    def fraction(self, num: int, den: int) -> Fraction:
-        """`num / den` for a denominator `den` of this kernel's pairs,
-        reduced over the base as in `advance`."""
-        return _base_fraction(self._base, num, den)
+        return Dist._from_ints(self.names, *pair, self._big, self._below)
 
     def norm(self, pair: Ints) -> Fraction:
+        """The largest mass of `pair`, reduced over the base as in `walk`."""
         v, den = pair
-        return _base_fraction(self._base, max(v, default=0), den)
-
-    def advance(self, pair: Ints, letter: str) -> Ints:
-        """One step on `letter`, a letter of the automaton.
-
-        The start denominator divides the base and each step multiplies
-        `den` by an `L_a` that divides it too, so every prime of `den`,
-        and of any common factor of `den` and `v`, divides the base. The
-        first round's `g` therefore holds every prime of the common
-        factor; each later round's `g` holds every prime still common,
-        and the loop ends with the pair in lowest terms. Each round costs
-        a big-mod-small `gcd`, linear in the size of `den`, where
-        `gcd(den, *v)` would be quadratic. A pair from `ints` of another
-        distribution may carry primes outside the base; `step` takes those
-        out itself.
-        """
-        den_a, forward, _, errors, _ = self._letters[letter]
-        v, den = pair
-        for i, message in errors:
-            if v[i]:
-                raise InputError(message)
-        new = forward(v)
-        den *= den_a
-        g = gcd(self._base, den, *new)
-        while g != 1:
-            new = [x // g for x in new]
-            den //= g
-            g = gcd(g, den, *new)
-        top = max(new, default=0)
-        if top > den:  # a row summing past 1 on a malformed automaton
-            raise InputError(f"probability {Fraction(top, den)} outside [0, 1]")
-        return tuple(new), den
+        return _base_fraction(self._big, self._below, max(v) if v else 0, den)
 
     def shared_steps(self) -> tuple[int, dict[str, tuple]]:
         """`Λ`, the lcm of every letter's `L_a`, and for each letter its
@@ -197,13 +164,40 @@ class Kernel:
         return lam, {a: (forward, back) if den == lam else _scaled_steps(n, consts, lam // den)
                      for a, (den, forward, back, _, consts) in self._letters.items()}
 
-    def walk(self, word: Iterable[str]) -> Iterator[Ints]:
-        """The pair at every step of `word`, from the start distribution on."""
-        pair = self.start
+    def walk(self, word: Iterable[str], pair: Ints | None = None) -> Iterator[Ints]:
+        """The pair at every step of `word`, letters of the automaton, from
+        `pair` (the start pair by default) on: the one loop that steps.
+
+        Every prime of `den`, and so of any common factor of `den` and `v`,
+        divides the base, as the start denominator and each `L_a` do. A
+        step divides by `g = gcd(big, den, *v)`, big-mod-small gcds linear
+        in the size of `den`, and hands the pair to `core._lowest` for more
+        rounds only when `below % g != 0` (see there). A `pair` from `ints`
+        of another distribution may carry primes outside the base; `step`
+        takes those out itself. A mass past 1, from a row summing past 1 on
+        a malformed automaton, raises.
+        """
+        letters, big, below = self._letters, self._big, self._below
+        v, den = pair = self.start if pair is None else pair
         yield pair
         for a in word:
-            pair = self.advance(pair, a)
-            yield pair
+            den_a, forward, _, errors, _ = letters[a]
+            for i, message in errors:
+                if v[i]:
+                    raise InputError(message)
+            v = forward(v)
+            den *= den_a
+            g = gcd(big, den, *v)
+            if g != 1:
+                if below % g:
+                    v, den = _lowest(big, below, v, den)
+                else:
+                    v = tuple([x // g for x in v])
+                    den //= g
+            # max(v) if v, as max(v, default=0) parses its keyword on every call
+            if v and max(v) > den:
+                raise InputError(f"probability {Fraction(max(v), den)} outside [0, 1]")
+            yield v, den
 
 
 @cache
@@ -269,10 +263,11 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     if letter not in pa.letter_set:
         raise InputError(f"unknown letter {letter!r}")
     k = Kernel.of(pa)
-    v, den = k.advance(k.ints(d), letter)
+    *_, (v, den) = k.walk((letter,), k.ints(d))
     g = gcd(den, *v)  # the primes of `d` outside the kernel's base
     # one can still divide a single mass, so the masses are reduced over `den`
-    return Dist._from_ints(k.names, tuple(x // g for x in v), den // g, den // g)
+    den //= g
+    return Dist._from_ints(k.names, tuple([x // g for x in v]), den, den, 1)
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:
@@ -288,7 +283,7 @@ def acceptance_probability(pa: Pa, word: Sequence[str]) -> Fraction:
     k = Kernel.of(pa)
     for v, den in k.walk(pa.check_word(word)):
         pass
-    return k.fraction(sum(map(mul, v, k.accept[0])), den)
+    return _base_fraction(k._big, k._below, sum(map(mul, v, k.accept[0])), den)
 
 
 class TraceEntry(NamedTuple):
@@ -340,12 +335,18 @@ class TraceStream:
 
 
 def _trace_entries(pa: Pa, word: Iterable[str]) -> Iterator[TraceEntry]:
+    """The entries of `word`'s trace, from the pairs of `Kernel.walk`; each
+    is built from locals, its norm reduced as `Kernel.norm` does."""
     k = Kernel.of(pa)
     yield TraceEntry(0, None, pa.initial, pa.initial.norm())
-    pair = k.start
-    for i, a in enumerate(word, start=1):
-        pair = k.advance(pair, a)
-        yield TraceEntry(i, a, k.dist(pair), k.norm(pair))
+    names, big, below = k.names, k._big, k._below
+    entry, from_ints, fraction = TraceEntry._make, Dist._from_ints, _base_fraction
+    word, letters = tee(word)
+    run = k.walk(word)
+    next(run)
+    for (i, a), (v, den) in zip(enumerate(letters, start=1), run):
+        yield entry((i, a, from_ints(names, v, den, big, below),
+                     fraction(big, below, max(v) if v else 0, den)))
 
 
 def trace_stream(pa: Pa, word: Sequence[str]) -> TraceStream:

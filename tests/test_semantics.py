@@ -4,8 +4,8 @@ import pickle
 import random
 import sys
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from itertools import accumulate, product
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -33,7 +33,7 @@ from pasynch import (
     twin,
 )
 from pasynch import semantics
-from pasynch.core import _coprime_fraction
+from pasynch.core import _big_below, _coprime_fraction, _lowest
 from pasynch.semantics import Kernel, _dense_step, lasso_stream
 from helpers import (
     family_pa,
@@ -401,16 +401,50 @@ def test_step_masses_are_lowest_terms_past_the_base():
     assert got == d and hash(got) == hash(d) and str(got) == str(d)
 
 
-def test_walk_reduces_a_common_factor_past_the_base():
+def _assert_slots(got, want):
+    assert type(got) is Fraction
+    assert (got._numerator, got._denominator) == (want._numerator, want._denominator)
+
+
+def _walk_in_lowest_terms(pa, word):
+    """The walk of `word`, checked: every pair in lowest terms, every norm
+    (`Kernel.norm` and the trace's) and every trace mass with the slots
+    of `Fraction(x, den)`."""
+    k = Kernel.of(pa)
+    pairs = list(k.walk(word))
+    trace = norm_trace(pa, word)
+    assert len(trace) == len(pairs)
+    for (v, den), e in zip(pairs, trace):
+        assert gcd(den, *v) == 1
+        top = Fraction(max(v, default=0), den)
+        _assert_slots(k.norm((v, den)), top)
+        _assert_slots(e.norm, top)
+        for q, x in zip(k.names, v):
+            _assert_slots(e.dist.mass(q), Fraction(x, den))
+    return pairs
+
+
+def test_walk_reduces_a_common_factor_past_the_base(monkeypatch):
     # p keeps 4^-n after a^n; collapsing onto p leaves the pair (4^n, 0) / 4^n,
-    # a common factor 4^n that one round over the base 4 only cuts to 4^(n-1)
+    # a common factor 4^n. The base is 4 and big is 4^14, so from n = 14 on
+    # one round cannot take it all out and the walk hands the pair to `_lowest`
     pa = Pa(("p", "q"), ("a", "c"), {"p": 1},
             {("p", "a"): {"p": Fraction(1, 4), "q": Fraction(3, 4)}, ("q", "a"): {"q": 1},
              ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}})
-    for n in range(5):
-        pairs = list(Kernel.of(pa).walk(("a",) * n + ("c",)))
+    assert (Kernel.of(pa)._big, Kernel.of(pa)._below) == (4 ** 14, 4 ** 13)
+    rounds = []
+
+    def counted(*args):
+        rounds.append(args[3])
+        return _lowest(*args)
+    monkeypatch.setattr(semantics, "_lowest", counted)
+    for n in range(61):
+        rounds.clear()
+        pairs = _walk_in_lowest_terms(pa, ("a",) * n + ("c",))
         assert pairs[-2][1] == 4 ** n
         assert pairs[-1] == ((1, 0), 1)
+        # once for the walk and once for the trace's walk, at the step onto p
+        assert rounds == ([4 ** n] * 2 if n >= 14 else [])
 
 
 def test_walk_reduces_the_start_denominator():
@@ -422,6 +456,71 @@ def test_walk_reduces_the_start_denominator():
         pairs = list(Kernel.of(pa).walk(("a",) * n + ("c",)))
         assert pairs[-2][1] == 3 * 2 ** n
         assert pairs[-1] == ((1, 0), 1)
+
+
+# -- one-round reduction: `big` and `below` over the kernel's base
+
+@pytest.mark.parametrize("base, big", [(1, 1), (2, 2 ** 29), (4, 4 ** 14), (6, 6 ** 11),
+                                       (840, 840 ** 3), (2 ** 15 + 1, 2 ** 15 + 1),
+                                       (2 ** 30, 2 ** 30), (2 ** 31 - 1, 2 ** 31 - 1)])
+def test_big_is_the_largest_power_below_one_digit(base, big):
+    assert _big_below(base) == (big, big // base)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_lowest_divides_out_the_whole_common_factor(seed):
+    # a denominator over the base's primes, numerators with common powers
+    # of them past `big`, and primes of their own
+    rng = random.Random(seed)
+    primes = rng.sample((2, 3, 5, 7, 2 ** 31 - 1), rng.randint(0, 3))
+    base = prod(p ** rng.randint(1, 3) for p in primes)
+    den = prod(p ** rng.randint(0, 90) for p in primes)
+    common = prod(p ** rng.randint(0, 90) for p in primes)
+    nums = tuple(common * rng.choice((0, 1, 11, rng.randrange(10 ** 40)))
+                 for _ in range(rng.randint(0, 4)))
+    got, got_den = _lowest(*_big_below(base), nums, den)
+    g = gcd(den, *nums)
+    assert (tuple(got), got_den) == (tuple(x // g for x in nums), den // g)
+    assert gcd(got_den, *got) == 1
+
+
+def test_walk_on_a_base_of_one():
+    # every row and the start are Diracs, so the base is 1 and so is big
+    pa = Pa(("x", "y", "z"), ("a", "b"), {"x": 1},
+            {("x", "a"): {"y": 1}, ("y", "a"): {"z": 1}, ("z", "a"): {"x": 1},
+             ("x", "b"): {"x": 1}, ("y", "b"): {"x": 1}, ("z", "b"): {"z": 1}}, ("z",))
+    k = Kernel.of(pa)
+    assert (k._big, k._below) == (1, 1)
+    word = random_word(random.Random(1), pa.alphabet, 60)
+    pairs = _walk_in_lowest_terms(pa, word)
+    assert all(den == 1 for _, den in pairs)
+    assert acceptance_probability(pa, word) == pairs[-1][0][2]
+    # a user distribution brings primes of its own, which `step` takes out
+    d = Dist({"x": Fraction(1, 3), "y": Fraction(1, 6), "z": HALF})
+    got = step(pa, d, "a")
+    assert got._ints[1:3] == ((3, 2, 1), 6)
+    assert got == reference_step(pa, d, "a")
+
+
+def test_walk_on_a_base_past_one_digit():
+    # a row denominator of 2^31 - 1, a prime: big is the base itself, below
+    # is 1, and each power of it in a common factor takes its own round
+    m = 2 ** 31 - 1
+    pa = Pa(("p", "q"), ("a", "c"), {"p": 1},
+            {("p", "a"): {"p": Fraction(1, m), "q": Fraction(m - 1, m)}, ("q", "a"): {"q": 1},
+             ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}}, ("p",))
+    k = Kernel.of(pa)
+    assert (k._big, k._below) == (m, 1)
+    for n in (0, 1, 2, 7, 60):
+        pairs = _walk_in_lowest_terms(pa, ("a",) * n + ("c",))
+        assert pairs[-2] == ((1, m ** n - 1), m ** n)
+        assert pairs[-1] == ((1, 0), 1)
+    rng = random.Random(2)
+    for _ in range(5):
+        word = random_word(rng, pa.alphabet, 60)
+        pairs = _walk_in_lowest_terms(pa, word)
+        assert acceptance_probability(pa, word) == Fraction(pairs[-1][0][0], pairs[-1][1])
 
 
 @pytest.mark.parametrize("num, den", [(0, 1), (1, 1), (1, 2), (2, 3), (5, 2 ** 61 - 1),
@@ -482,13 +581,13 @@ def _both_paths(pa, monkeypatch):
     return kernels
 
 
-def _run(advance, start, word):
-    """The pairs of `word` from `start`, ending in the text of the
-    `InputError` that stops the run, if one does."""
-    run = [start]
+def _run(steps):
+    """The values `steps` yields, ending in the text of the `InputError`
+    that stops it, if one does."""
+    run = []
     try:
-        for a in word:
-            run.append(advance(run[-1], a))
+        for x in steps:
+            run.append(x)
     except InputError as exc:
         run.append(str(exc))
     return run
@@ -529,9 +628,9 @@ def _assert_paths_agree(pa, rng, monkeypatch, words=4):
     assert columns.names == names and dense.start == columns.start
     for _ in range(words):
         word = random_word(rng, pa.alphabet, 10)
-        got = _run(dense.advance, dense.start, word)
-        assert got == _run(columns.advance, columns.start, word)
-        want = _run(lambda d, a: reference_step(pa, d, a), pa.initial, word)
+        got = _run(dense.walk(word))
+        assert got == _run(columns.walk(word))
+        want = _run(accumulate(word, lambda d, a: reference_step(pa, d, a), initial=pa.initial))
         assert got == [x if isinstance(x, str) else _pair(x, names) for x in want]
         if set(names) == pa.state_set and all((q, a) in pa.delta
                                               for q in pa.states for a in pa.alphabet):
@@ -619,7 +718,7 @@ def _compiled(k: Kernel) -> dict:
     letters = {a: (den, errors, consts if isinstance(consts, tuple)
                    else [(get(ids), nums) for get, nums in consts])
                for a, (den, _, _, errors, consts) in k._letters.items()}
-    return {"names": k.names, "start": k.start, "accept": k.accept, "base": k._base,
+    return {"names": k.names, "start": k.start, "accept": k.accept, "base": (k._big, k._below),
             "letters": letters}
 
 

@@ -17,7 +17,8 @@ Python version, both sides' source and, counted outside the harness, the
 scan's work on 300 ``search_sweep`` ops of seed 7 on each side: forward
 steps, back steps, ``analysis._dominated`` tests and the words the scan
 yields above the bar its consumer sends. A forward step is a
-``Kernel.advance`` call or a call of a forward step that
+``Kernel.advance`` call (a step of ``Kernel.walk`` on a side without
+``advance``) or a call of a forward step that
 ``Kernel.shared_steps`` hands out; a back step is a ``Kernel.weights``
 call or a call of a shared back step. Each side counts whichever of these
 its kernel has, so the counts mean the same on sides from before and after
@@ -64,7 +65,17 @@ def counted(f, key):
         counts[key] += 1
         return f(*args)
     return call
-Kernel.advance = counted(Kernel.advance, "forward_steps")
+if hasattr(Kernel, "advance"):
+    Kernel.advance = counted(Kernel.advance, "forward_steps")
+else:
+    walk = Kernel.walk
+    def counted_walk(*args):
+        run = walk(*args)
+        yield next(run)
+        for pair in run:
+            counts["forward_steps"] += 1
+            yield pair
+    Kernel.walk = counted_walk
 if hasattr(Kernel, "weights"):
     Kernel.weights = counted(Kernel.weights, "back_steps")
 if hasattr(Kernel, "shared_steps"):
@@ -243,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
                for i, (w, n) in enumerate(aa_plan.items())},
         "counts": {
             "what": "one process per side, outside the harness: forward steps (calls of "
-                    "Kernel.advance and of the forward steps of Kernel.shared_steps), "
+                    "Kernel.advance, or steps of Kernel.walk where there is no "
+                    "Kernel.advance, and of the forward steps of Kernel.shared_steps), "
                     "back steps (calls of Kernel.weights and of the back steps of "
                     "Kernel.shared_steps), each counted where the side's kernel has it, "
                     "analysis._dominated tests, and words analysis._shortlex_scan yields "

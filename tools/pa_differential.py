@@ -14,6 +14,16 @@ is generated once and read by both sides, which are compared on:
 - ``parse_pa(text, require_valid=False)``: ``validate().violations``, and
   ``Kernel.walk`` pairs, with the kernel's names, on three random words
   over the alphabet (or the exception, if compiling or a step raises);
+- on that automaton, a random word of ``TRACE_LETTERS`` letters, in runs
+  of one letter: its ``Kernel.walk`` pairs and the entries of its
+  ``norm_trace``, and those of ``lasso_trace`` on a random stem and loop
+  repeated to about as many letters: step, letter, each mass and the norm,
+  as class name and ``Fraction`` slots, so a mass or norm equal in value
+  but not in lowest terms is a mismatch; and ``semantics.step`` on each
+  letter from a random distribution whose denominator has primes that no
+  row has (its pair and its masses). Words this long take the change's
+  ``Kernel.walk`` past its first reduction round; the count of walk
+  steps that needed more rounds is printed;
 - whatever construction the parsed document admits, as written text or
   exception: ``lift`` of a plain automaton with an accepting state,
   ``twin`` of its lift when its start is one state, ``twin`` of a lifted
@@ -41,6 +51,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from scan_differential import load_parent
 
@@ -55,6 +66,9 @@ TOKEN_LITERALS = (
     "1/" + "7" * 40, "9" * 30 + "/" + "9" * 31, "1" * (MAX_LITERAL_LEN + 1),
 )
 CORPUS = TOKEN_LITERALS + ("", " 1/2", "1/2 ", "1 /2", "\t0")
+TRACE_LETTERS = 60
+# denominators of `step`'s distributions, most with primes no row has (rows are over 1-8)
+STEP_DENS = (1, 4, 11, 13, 3 * 7 * 11, 2 ** 5 * 11, 10 ** 6 + 3)
 EDITS = ("space", "comment", "repeat row", "drop row", "literal", "unknown name",
          "short row", "odd row", "twice", "metadata", "key", "colon")
 
@@ -190,7 +204,60 @@ def walks(package, pa, words) -> tuple:
     return outcome(run)
 
 
-def read(package, text: str, words) -> tuple:
+def slots(p: Fraction) -> tuple:
+    return type(p).__name__, p._numerator, p._denominator
+
+
+def masses_of(d) -> tuple:
+    return tuple((q, *slots(p)) for q, p in d.items())
+
+
+def trace_entries(trace) -> tuple:
+    return tuple((e.step, e.letter, masses_of(e.dist), slots(e.norm)) for e in trace)
+
+
+def traces(package, pa, rng: random.Random) -> tuple:
+    """`norm_trace`, `lasso_trace` and `step` as `read` compares them."""
+    if not pa.alphabet:
+        return ()
+    word = []  # runs of one letter grow a denominator that another letter may then collapse
+    while len(word) < TRACE_LETTERS:
+        word += [rng.choice(pa.alphabet)] * rng.randint(1, 30)
+    word = tuple(word[:TRACE_LETTERS])
+    stem = tuple(rng.choices(pa.alphabet, k=rng.randint(0, 10)))
+    loop = tuple(rng.choices(pa.alphabet, k=rng.randint(1, 4)))
+    reps = (TRACE_LETTERS - len(stem)) // len(loop)
+    den = rng.choice(STEP_DENS)
+    cuts = sorted(rng.randint(0, den) for _ in range(len(pa.states) - 1))
+    d = package.Dist({q: Fraction(b - a, den)
+                      for q, a, b in zip(pa.states, [0, *cuts], [*cuts, den]) if b > a})
+
+    def stepped(a):
+        got = package.semantics.step(pa, d, a)
+        return got._ints[1:3], masses_of(got)  # the pair, read before the map is made
+    return (outcome(lambda: tuple(package.semantics.Kernel(pa).walk(word))),
+            outcome(lambda: trace_entries(package.norm_trace(pa, word))),
+            outcome(lambda: trace_entries(package.lasso_trace(pa, stem, loop, reps))),
+            *(outcome(stepped, a) for a in pa.alphabet))
+
+
+def count_rounds(semantics) -> dict:
+    """Count the steps of `semantics.Kernel.walk` that one reduction round
+    would have left out of lowest terms: of those it hands to `_lowest`,
+    which it does only when a prime's power may have been cut short (none
+    on a side without it)."""
+    counts = {"steps": 0}
+    lowest = getattr(semantics, "_lowest", None)
+    if lowest is not None:
+        def counted(big, below, nums, den):
+            out = lowest(big, below, nums, den)
+            counts["steps"] += out[1] != den // gcd(big, den, *nums)
+            return out
+        semantics._lowest = counted
+    return counts
+
+
+def read(package, text: str, words, seed: float) -> tuple:
     """Everything one side reports on `text`."""
     strict = outcome(package.parse_pa, text)
     written = strict if strict[0] != "ok" else outcome(package.serialize_pa, strict[1])
@@ -199,7 +266,8 @@ def read(package, text: str, words) -> tuple:
     if loose[0] != "ok":
         return written, built, loose
     pa = loose[1] if isinstance(loose[1], package.Pa) else loose[1].pa
-    return written, built, pa.validate().violations, walks(package, pa, words(pa))
+    return (written, built, pa.validate().violations, walks(package, pa, words(pa)),
+            traces(package, pa, random.Random(seed)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,6 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20)
     args = parser.parse_args(argv)
     sides = {"parent": load_parent(args.parent), "change": pasynch}
+    rounds = count_rounds(pasynch.semantics)
     rng = random.Random(args.seed)
     start = time.perf_counter()
 
@@ -235,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
             pick = random.Random(seed)
             return [tuple(pick.choices(pa.alphabet, k=pick.randint(0, 6)) if pa.alphabet else ())
                     for _ in range(3)]
-        got = [read(package, text, words) for package in sides.values()]
+        got = [read(package, text, words, seed) for package in sides.values()]
         counts["parsed"] += got[1][0][0] == "ok"
         if got[0] != got[1]:
             mismatches.append((kind, edits, text, got))
@@ -243,7 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.documents} documents ({counts['plain']} plain, {counts['lift']} lift, "
           f"{counts['twin']} twin; {counts['corrupted']} corrupted, {counts['parsed']} parsed "
           f"valid) and {len(literals)} literals per side; seed {args.seed}, "
-          f"{time.perf_counter() - start:.1f} s")
+          f"{time.perf_counter() - start:.1f} s; {rounds['steps']} walk steps of the change "
+          "took more than one reduction round")
     print(f"mismatches: {len(mismatches) + len(literal_mismatches)}")
     for text, got in literal_mismatches[:5]:
         print(f"  literal {text[:60]!r}\n    parent: {got[0]}\n    change: {got[1]}")
