@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat, tee
+from itertools import chain, count, repeat, tee
 from math import gcd, lcm
 from operator import itemgetter, mul
 from types import FunctionType
@@ -64,7 +64,7 @@ class Kernel:
     over one denominator, for the search scan's layers.
     """
 
-    __slots__ = ("names", "start", "accept", "_big", "_below", "_index", "_letters")
+    __slots__ = ("names", "start", "accept", "_big", "_below", "_index", "_letters", "_valid")
 
     @classmethod
     def of(cls, pa: Pa) -> "Kernel":
@@ -98,6 +98,7 @@ class Kernel:
         self._big, self._below = _big_below(
             lcm(self.start[1], *(c[0] for c in self._letters.values())))
         self.accept = tuple(int(q in pa.accepting) for q in names), 1
+        self._valid = pa.validate().ok
 
     def _compile(self, letter: str, rows: list[Dist | None], entries: dict, unknown: list) -> tuple:
         present = []  # (source index, entries) of each row there is
@@ -174,17 +175,24 @@ class Kernel:
         in the size of `den`, and hands the pair to `core._lowest` for more
         rounds only when `below % g != 0` (see there). A `pair` from `ints`
         of another distribution may carry primes outside the base; `step`
-        takes those out itself. A mass past 1, from a row summing past 1 on
-        a malformed automaton, raises.
+        takes those out itself.
+
+        A step tests its letter's errors (mass on a missing row or an
+        unknown name) and a mass past 1 only on a malformed automaton or
+        from a start whose total passes 1. Otherwise neither can fire: a
+        valid automaton's rows sum to exactly 1 over its states, so every
+        step keeps the start's total of at most 1.
         """
         letters, big, below = self._letters, self._big, self._below
         v, den = pair = self.start if pair is None else pair
+        check = not self._valid or sum(v) > den
         yield pair
         for a in word:
             den_a, forward, _, errors, _ = letters[a]
-            for i, message in errors:
-                if v[i]:
-                    raise InputError(message)
+            if check:
+                for i, message in errors:
+                    if v[i]:
+                        raise InputError(message)
             v = forward(v)
             den *= den_a
             g = gcd(big, den, *v)
@@ -195,7 +203,7 @@ class Kernel:
                     v = tuple([x // g for x in v])
                     den //= g
             # max(v) if v, as max(v, default=0) parses its keyword on every call
-            if v and max(v) > den:
+            if check and v and max(v) > den:
                 raise InputError(f"probability {Fraction(max(v), den)} outside [0, 1]")
             yield v, den
 
@@ -336,17 +344,19 @@ class TraceStream:
 
 def _trace_entries(pa: Pa, word: Iterable[str]) -> Iterator[TraceEntry]:
     """The entries of `word`'s trace, from the pairs of `Kernel.walk`; each
-    is built from locals, its norm reduced as `Kernel.norm` does."""
+    is built from locals by `tuple.__new__` (`TraceEntry._make` would check
+    its length again), its norm reduced as `Kernel.norm` does. The norm is
+    the step's one `max`: on a valid automaton the walk takes none."""
     k = Kernel.of(pa)
     yield TraceEntry(0, None, pa.initial, pa.initial.norm())
     names, big, below = k.names, k._big, k._below
-    entry, from_ints, fraction = TraceEntry._make, Dist._from_ints, _base_fraction
+    new, from_ints, fraction = tuple.__new__, Dist._from_ints, _base_fraction
     word, letters = tee(word)
     run = k.walk(word)
     next(run)
-    for (i, a), (v, den) in zip(enumerate(letters, start=1), run):
-        yield entry((i, a, from_ints(names, v, den, big, below),
-                     fraction(big, below, max(v) if v else 0, den)))
+    for i, a, (v, den) in zip(count(1), letters, run):
+        yield new(TraceEntry, (i, a, from_ints(names, v, den, big, below),
+                               fraction(big, below, max(v) if v else 0, den)))
 
 
 def trace_stream(pa: Pa, word: Sequence[str]) -> TraceStream:

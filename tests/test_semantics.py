@@ -743,3 +743,79 @@ def test_kernels_of_shared_and_copied_rows_are_equal(seed, max_states, names):
         word = random_word(rng, pa.alphabet, 8)
         runs = [list(k.walk(word)) for k in kernels]
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+# -- the walk's per-step tests run only where they can fire
+
+def _merging_pa():
+    """A valid automaton: `a` merges both states into `p`, `b` swaps them."""
+    return Pa(("p", "q"), ("a", "b"), {"p": 1},
+              {("p", "a"): {"p": 1}, ("q", "a"): {"p": 1},
+               ("p", "b"): {"q": 1}, ("q", "b"): {"p": 1}})
+
+
+def test_an_over_full_start_raises_on_a_valid_automaton(monkeypatch):
+    over_full = Dist({"p": 1, "q": 1})
+    want = [_pair(over_full, ("p", "q")), _pair(over_full, ("p", "q")),
+            "probability 2 outside [0, 1]"]
+    reference = _run(accumulate(("b", "a", "b"), lambda d, a: reference_step(_merging_pa(), d, a),
+                                initial=over_full))
+    assert [x if isinstance(x, str) else _pair(x, ("p", "q")) for x in reference] == want
+    for k in _both_paths(_merging_pa(), monkeypatch):
+        assert k._valid and k.names == ("p", "q")
+        assert _run(k.walk(("b", "a", "b"), k.ints(over_full))) == want
+    for bound in (sys.maxsize, -1):  # `step` on each path's kernel
+        monkeypatch.setattr(semantics, "DENSE_MAX_NAMES", bound)
+        pa = _merging_pa()
+        Kernel.of(pa)
+        monkeypatch.undo()
+        assert step(pa, over_full, "b") == over_full
+        with pytest.raises(InputError, match=r"^probability 2 outside \[0, 1\]$"):
+            step(pa, over_full, "a")
+
+
+def test_a_start_below_one_walks_like_the_reference(monkeypatch):
+    rng = random.Random(22)
+    for _ in range(20):
+        pa = random_pa(rng)
+        assert pa.validate().ok
+        masses = random_dist(rng, pa.states, 12)
+        d = Dist({q: p * Fraction(rng.randint(0, 6), 7) for q, p in masses.items()})
+        assert d.total() < 1
+        word = random_word(rng, pa.alphabet, 12)
+        want = [_pair(x, pa.states)
+                for x in accumulate(word, lambda x, a: reference_step(pa, x, a), initial=d)]
+        for k in _both_paths(pa, monkeypatch):
+            assert k._valid and list(k.walk(word, k.ints(d))) == want
+        assert all(step(pa, x, a) == reference_step(pa, x, a)
+                   for x in (Dist(masses), d) for a in pa.alphabet)
+
+
+def test_only_a_walk_that_can_fail_takes_a_max(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return max(v)
+    monkeypatch.setattr(semantics, "max", counted, raising=False)
+    word = ("a", "b") * 5
+    valid = _merging_pa()
+    leaky = Pa(("p", "q"), ("a", "b"), {"p": 1},
+               {("p", "a"): {"p": HALF}, ("q", "a"): {"p": 1},
+                ("p", "b"): {"q": 1}, ("q", "b"): {"p": 1}})
+    assert not leaky.validate().ok
+    for pa, checked in ((valid, False), (leaky, True)):
+        k = Kernel.of(pa)
+        # an over-full start is checked at every step, on either automaton
+        for start, w, takes in ((None, word, checked),
+                                (k.ints(Dist({"p": HALF, "q": HALF})), word, checked),
+                                (k.ints(Dist({"p": 1, "q": HALF})), ("b", "b"), True)):
+            calls.clear()
+            assert len(list(k.walk(w, start))) == len(w) + 1
+            assert len(calls) == (len(w) if takes else 0)
+        calls.clear()
+        trace = norm_trace(pa, word)
+        # and the trace takes one max a step, for its norm
+        assert len(calls) == (len(word) if checked else 0) + len(word)
+        assert trace.norms[1:] == tuple(Fraction(max(v), den)
+                                        for v, den in list(k.walk(word))[1:])

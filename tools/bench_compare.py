@@ -27,6 +27,10 @@ counter forwards every bar, so both searches run as they would. A scan
 that takes no bar yields every word it scores, so on such a side the last
 count is of scored words; on a side whose scan takes the bar it is of
 words above it only. Parent and change counts then differ in meaning.
+The same process then counts, over 300 ``long_word`` ops of seed 7, the
+calls of ``max`` made from ``semantics`` and of ``gcd`` made from
+``semantics`` and from ``core``, by replacing those module globals with
+counting wrappers; calls made while a result is checked are not counted.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -51,7 +55,8 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 TREES = ("src", "bench")
 
 # Run in each side's directory: counts the scan's work on 300 ops of the
-# search_sweep workload, checking every result as the harness does.
+# search_sweep workload, then the max and gcd calls of 300 long_word ops,
+# checking every result as the harness does.
 COUNTER = """
 import json, sys
 sys.path[:0] = ["src", "bench"]
@@ -102,7 +107,29 @@ for i in range(300):
     problem = wl.check(i, wl.op(i)())
     if problem:
         sys.exit(problem)
-print(json.dumps(counts))
+scan_counts = dict(counts)  # the wrappers above go on counting long_word's steps
+import builtins, math
+from pasynch import core, semantics
+calls = {"long_word_semantics_max": 0, "long_word_semantics_gcd": 0, "long_word_core_gcd": 0}
+counting = False
+def tallied(f, key):
+    def call(*args):
+        if counting:
+            calls[key] += 1
+        return f(*args)
+    return call
+semantics.max = tallied(builtins.max, "long_word_semantics_max")
+semantics.gcd = tallied(math.gcd, "long_word_semantics_gcd")
+core.gcd = tallied(math.gcd, "long_word_core_gcd")
+wl = workloads.LongWord(7)
+for i in range(300):
+    counting = True
+    trace = wl.op(i)()
+    counting = False
+    problem = wl.check(i, trace)
+    if problem:
+        sys.exit(problem)
+print(json.dumps({**scan_counts, **calls}))
 """
 
 
@@ -260,7 +287,11 @@ def main(argv: list[str] | None = None) -> int:
                     "Kernel.shared_steps), each counted where the side's kernel has it, "
                     "analysis._dominated tests, and words analysis._shortlex_scan yields "
                     "above the bar its consumer sends (every scored word where the scan "
-                    "takes no bar), over ops 0-299 of search_sweep seed 7, every op checked",
+                    "takes no bar), over ops 0-299 of search_sweep seed 7, every op checked; "
+                    "then the calls of max made from semantics and of gcd made from "
+                    "semantics and from core (module globals replaced by counting "
+                    "wrappers) over ops 0-299 of long_word seed 7, every op checked, the "
+                    "checks not counted",
             "parent": counters(parent),
             "change": counters(change),
         },

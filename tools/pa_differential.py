@@ -21,7 +21,11 @@ is generated once and read by both sides, which are compared on:
   as class name and ``Fraction`` slots, so a mass or norm equal in value
   but not in lowest terms is a mismatch; and ``semantics.step`` on each
   letter from a random distribution whose denominator has primes that no
-  row has (its pair and its masses). Words this long take the change's
+  row has (its pair and its masses). On an automaton of two or more
+  states, ``step`` on each letter and ``Kernel.walk`` on the word also
+  start from an over-full distribution over those denominators, each
+  mass at most 1 and the total past 1, so a mass past 1 raises on valid
+  automata too. Words this long take the change's
   ``Kernel.walk`` past its first reduction round; the count of walk
   steps that needed more rounds is printed;
 - whatever construction the parsed document admits, as written text or
@@ -231,14 +235,26 @@ def traces(package, pa, rng: random.Random) -> tuple:
     cuts = sorted(rng.randint(0, den) for _ in range(len(pa.states) - 1))
     d = package.Dist({q: Fraction(b - a, den)
                       for q, a, b in zip(pa.states, [0, *cuts], [*cuts, den]) if b > a})
+    starts = [d]
+    names = list(dict.fromkeys(pa.states))
+    if len(names) > 1:  # over-full: each mass at most 1, the total past 1
+        nums = [rng.randint(0, den) for _ in names]
+        if sum(nums) <= den:
+            nums[:2] = den, max(nums[1], 1)
+        starts.append(package.Dist({q: Fraction(x, den) for q, x in zip(names, nums)}))
 
-    def stepped(a):
-        got = package.semantics.step(pa, d, a)
+    def stepped(start, a):
+        got = package.semantics.step(pa, start, a)
         return got._ints[1:3], masses_of(got)  # the pair, read before the map is made
+
+    def walked(start):
+        k = package.semantics.Kernel(pa)
+        return tuple(k.walk(word, k.ints(start)))
     return (outcome(lambda: tuple(package.semantics.Kernel(pa).walk(word))),
             outcome(lambda: trace_entries(package.norm_trace(pa, word))),
             outcome(lambda: trace_entries(package.lasso_trace(pa, stem, loop, reps))),
-            *(outcome(stepped, a) for a in pa.alphabet))
+            *(outcome(stepped, start, a) for start in starts for a in pa.alphabet),
+            *(outcome(walked, start) for start in starts[1:]))
 
 
 def count_rounds(semantics) -> dict:
