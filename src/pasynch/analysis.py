@@ -114,9 +114,11 @@ def _beats_rung(num: int, den: int, i: int) -> bool:
 
 
 def _suffix_depth(n_letters: int, max_len: int) -> int:
-    """The suffix depth `d` of `_shortlex_scan`: see the rule there."""
+    """The suffix depth `d` of `_shortlex_scan`: see the rule there. With no
+    letters the one word is the empty one, so `d` stays at `min(2, max_len)`
+    (the rule would grow it to `max_len`, one loop per length)."""
     d, budget = min(2, max_len), 2 * _word_count(n_letters, max_len)
-    while d < max_len and _word_count(n_letters, d + 1) ** 2 <= budget:
+    while n_letters and d < max_len and _word_count(n_letters, d + 1) ** 2 <= budget:
         d += 1
     return d
 
@@ -151,9 +153,9 @@ def _shortlex_scan(
     so a word is split into a stepped prefix and a scored suffix. Layers
     are stepped up to `h = max_len - d`, keeping one word per distinct
     distribution, the first to reach it, as equal distributions have
-    equal futures. `d` starts at `min(2, max_len)` and grows by one while
-    (words up to `d + 1`)² <= 2 * (words up to `max_len`), so the
-    dominance tests below stay at about one per word.
+    equal futures. `d` starts at `min(2, max_len)` and, over one letter or
+    more, grows by one while (words up to `d + 1`)² <= 2 * (words up to
+    `max_len`), so the dominance tests below stay at about one per word.
 
     Every step is one of `Kernel.shared_steps`, over `Λ`, the lcm of the
     letters' `L_a`. A layer is a dict from numerator tuple to the index

@@ -372,6 +372,18 @@ class TestSharedScan:
         assert result.best_word == ("a",) and result.best_prob == HALF
         assert result.explored == 50_001
 
+    def test_no_letters_at_a_huge_max_len(self):
+        # the one word is the empty one, so the suffix depth does not grow
+        # with max_len (the rule alone would loop up to it)
+        assert _suffix_depth(0, 10**6) <= 2
+        b = Value1Instance(Pa(("q",), (), {"q": 1}, {}, accepting=("q",)))
+        start = time.perf_counter()
+        result = bounded_value_search(b, 10**12)
+        assert result == ((), 1, 1, True)
+        schedule = witness_schedule_search(b, 2, 10**12)
+        assert schedule == (((), ()), True, None, 1)
+        assert time.perf_counter() - start < 1
+
 
 def _base4_instance() -> Value1Instance:
     """State t holds x = 4^-|w| + the word read as base-4 digits 0, 1, 2

@@ -322,6 +322,17 @@ def test_search(files, capsys):
     assert "exhausted: true\n" in out
 
 
+def test_search_without_letters_at_a_huge_max_len(tmp_path, capsys):
+    path = tmp_path / "no_letters.pa"
+    path.write_text("format: pa/1\nstates: q\nletters:\ninitial: q 1\naccepting: q\n")
+    start = time.perf_counter()
+    assert main(["search", str(path), "--max-len", str(10**12)]) == 0
+    assert capsys.readouterr().out == "word: \nprob: 1\nexplored: 1\nexhausted: true\n"
+    assert main(["schedule", str(path), "--k", "2", "--max-len", str(10**12)]) == 0
+    assert capsys.readouterr().out == "u1: \nu2: \n"
+    assert time.perf_counter() - start < 1
+
+
 def test_search_budget_exceeded(files, capsys):
     assert main(["search", files["b_one"], "--max-len", "64",
                  "--budget", "10"]) == 3

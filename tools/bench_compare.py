@@ -13,24 +13,22 @@ pairs each side won. ``--workload NAME:PAIRS`` picks the workloads and
 their pair counts instead; ``--aa NAME:PAIRS`` adds an A/A set, the parent
 against a second extraction of itself, whose spread is what the same code
 reads from another directory. The JSON file also records ``nproc``, the
-Python version, both sides' source and, counted outside the harness, the
-scan's work on 300 ``search_sweep`` ops of seed 7 on each side: forward
-steps, back steps, ``analysis._dominated`` tests and the words the scan
-yields above the bar its consumer sends. A forward step is a
-``Kernel.advance`` call (a step of ``Kernel.walk`` on a side without
-``advance``) or a call of a forward step that
-``Kernel.shared_steps`` hands out; a back step is a ``Kernel.weights``
-call or a call of a shared back step. Each side counts whichever of these
-its kernel has, so the counts mean the same on sides from before and after
-``Kernel.shared_steps`` replaced ``Kernel.weights`` in the scan. The
-counter forwards every bar, so both searches run as they would. A scan
-that takes no bar yields every word it scores, so on such a side the last
-count is of scored words; on a side whose scan takes the bar it is of
-words above it only. Parent and change counts then differ in meaning.
-The same process then counts, over 300 ``long_word`` ops of seed 7, the
-calls of ``max`` made from ``semantics`` and of ``gcd`` made from
-``semantics`` and from ``core``, by replacing those module globals with
-counting wrappers; calls made while a result is checked are not counted.
+Python version, both sides' source and the work of 300 ``search_sweep``
+ops, then of 300 ``long_word`` ops, seed 7, counted in one process per
+side outside the harness. One ``sys.setprofile`` hook, on only while an
+op runs (not while its result is checked), counts from one table:
+
+- in ``search_sweep``, the calls of code named ``forward`` and ``back``
+  (the compiled letter steps, whether ``Kernel.walk`` or the scan takes
+  them) and ``_dominated`` (dominance tests), and the ``return`` events
+  with a value of ``_shortlex_scan`` frames: the words the scan yields
+  above the bar its consumer sends;
+- in ``long_word``, the ``c_call`` events of ``max`` and ``gcd`` from
+  frames of ``pasynch.semantics`` and of ``gcd`` from frames of
+  ``pasynch.core``.
+
+The hook replaces nothing in the package, so each op runs as it does in
+the harness, and a name that a side lacks counts 0.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import platform
@@ -46,102 +43,52 @@ import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 from pathlib import Path
+
+from scan_differential import extract, git
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 TREES = ("src", "bench")
 
-# Run in each side's directory: counts the scan's work on 300 ops of the
-# search_sweep workload, then the max and gcd calls of 300 long_word ops,
-# checking every result as the harness does.
+# Run in each side's directory: every op checked as the harness does, the
+# hook on only while the op runs.
 COUNTER = """
 import json, sys
 sys.path[:0] = ["src", "bench"]
-from pasynch import analysis
-from pasynch.semantics import Kernel
 import workloads
-counts = {"forward_steps": 0, "back_steps": 0, "dominated_tests": 0,
-          "words_yielded_above_bar": 0}
-def counted(f, key):
-    def call(*args):
-        counts[key] += 1
-        return f(*args)
-    return call
-if hasattr(Kernel, "advance"):
-    Kernel.advance = counted(Kernel.advance, "forward_steps")
-else:
-    walk = Kernel.walk
-    def counted_walk(*args):
-        run = walk(*args)
-        yield next(run)
-        for pair in run:
-            counts["forward_steps"] += 1
-            yield pair
-    Kernel.walk = counted_walk
-if hasattr(Kernel, "weights"):
-    Kernel.weights = counted(Kernel.weights, "back_steps")
-if hasattr(Kernel, "shared_steps"):
-    shared = Kernel.shared_steps
-    def counted_shared(k):
-        lam, steps = shared(k)
-        return lam, {a: (counted(f, "forward_steps"), counted(b, "back_steps"))
-                     for a, (f, b) in steps.items()}
-    Kernel.shared_steps = counted_shared
-scan = analysis._shortlex_scan
-def counted_scan(*args):
-    inner, bar = scan(*args), None
-    while True:
-        try:
-            item = inner.send(bar)
-        except StopIteration:
-            return
-        counts["words_yielded_above_bar"] += 1
-        bar = yield item
-analysis._dominated = counted(analysis._dominated, "dominated_tests")
-analysis._shortlex_scan = counted_scan
-wl = workloads.SearchSweep(7)
-for i in range(300):
-    problem = wl.check(i, wl.op(i)())
-    if problem:
-        sys.exit(problem)
-scan_counts = dict(counts)  # the wrappers above go on counting long_word's steps
-import builtins, math
-from pasynch import core, semantics
-calls = {"long_word_semantics_max": 0, "long_word_semantics_gcd": 0, "long_word_core_gcd": 0}
-counting = False
-def tallied(f, key):
-    def call(*args):
-        if counting:
-            calls[key] += 1
-        return f(*args)
-    return call
-semantics.max = tallied(builtins.max, "long_word_semantics_max")
-semantics.gcd = tallied(math.gcd, "long_word_semantics_gcd")
-core.gcd = tallied(math.gcd, "long_word_core_gcd")
-wl = workloads.LongWord(7)
-for i in range(300):
-    counting = True
-    trace = wl.op(i)()
-    counting = False
-    problem = wl.check(i, trace)
-    if problem:
-        sys.exit(problem)
-print(json.dumps({**scan_counts, **calls}))
+TABLE = {  # (event, code name or module.builtin): (workload, key)
+    ("call", "forward"): ("SearchSweep", "forward_steps"),
+    ("call", "back"): ("SearchSweep", "back_steps"),
+    ("call", "_dominated"): ("SearchSweep", "dominated_tests"),
+    ("return", "_shortlex_scan"): ("SearchSweep", "words_yielded_above_bar"),
+    ("c_call", "pasynch.semantics.max"): ("LongWord", "long_word_semantics_max"),
+    ("c_call", "pasynch.semantics.gcd"): ("LongWord", "long_word_semantics_gcd"),
+    ("c_call", "pasynch.core.gcd"): ("LongWord", "long_word_core_gcd"),
+}
+counts = {key: 0 for _, key in TABLE.values()}
+def hook(frame, event, arg):
+    if event == "c_call":
+        name = f"{frame.f_globals.get('__name__')}.{arg.__name__}"
+    elif event == "call" or event == "return" and arg is not None:  # None: the scan ended
+        name = frame.f_code.co_name
+    else:
+        return
+    hit = TABLE.get((event, name))
+    if hit and hit[0] == type(wl).__name__:
+        counts[hit[1]] += 1
+for wl in workloads.SearchSweep(7), workloads.LongWord(7):
+    for i in range(300):
+        op = wl.op(i)
+        sys.setprofile(hook)
+        result = op()
+        sys.setprofile(None)
+        problem = wl.check(i, result)
+        if problem:
+            sys.exit(problem)
+print(json.dumps(counts))
 """
-
-
-def git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True,
-                          timeout=120).stdout
-
-
-def extract(rev: str, dest: Path) -> None:
-    """`src/` and `bench/` of commit `rev` into `dest`."""
-    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, *TREES))) as tar:
-        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def copy_working_tree(dest: Path) -> None:
@@ -251,10 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     shutil.rmtree(work, ignore_errors=True)
     parent, change, parent_copy = work / "parent", work / "change", work / "parent_copy"
     parent_sha = git("rev-parse", args.parent).decode().strip()
-    extract(parent_sha, parent)
+    extract(parent_sha, parent, *TREES)
     copy_working_tree(change)
     if aa_plan:
-        extract(parent_sha, parent_copy)
+        extract(parent_sha, parent_copy, *TREES)
 
     report = {
         "change": args.change,
@@ -280,18 +227,16 @@ def main(argv: list[str] | None = None) -> int:
                           args.seed + 100 * (len(plan) + i), args.seconds)
                for i, (w, n) in enumerate(aa_plan.items())},
         "counts": {
-            "what": "one process per side, outside the harness: forward steps (calls of "
-                    "Kernel.advance, or steps of Kernel.walk where there is no "
-                    "Kernel.advance, and of the forward steps of Kernel.shared_steps), "
-                    "back steps (calls of Kernel.weights and of the back steps of "
-                    "Kernel.shared_steps), each counted where the side's kernel has it, "
-                    "analysis._dominated tests, and words analysis._shortlex_scan yields "
-                    "above the bar its consumer sends (every scored word where the scan "
-                    "takes no bar), over ops 0-299 of search_sweep seed 7, every op checked; "
-                    "then the calls of max made from semantics and of gcd made from "
-                    "semantics and from core (module globals replaced by counting "
-                    "wrappers) over ops 0-299 of long_word seed 7, every op checked, the "
-                    "checks not counted",
+            "what": "one process per side, outside the harness, one sys.setprofile hook "
+                    "on only while an op runs, every op checked and the checks not "
+                    "counted: over ops 0-299 of search_sweep seed 7, the calls of code "
+                    "named forward (forward_steps), back (back_steps) and _dominated "
+                    "(dominated_tests), and the return events with a value of "
+                    "_shortlex_scan frames, its yields above the bar its consumer sends "
+                    "(words_yielded_above_bar); then over ops 0-299 of long_word seed 7, "
+                    "the c_call events of max and gcd from frames of pasynch.semantics "
+                    "and of gcd from frames of pasynch.core. The hook replaces nothing in "
+                    "the package; a name a side lacks counts 0",
             "parent": counters(parent),
             "change": counters(change),
         },

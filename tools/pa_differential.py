@@ -260,16 +260,15 @@ def traces(package, pa, rng: random.Random) -> tuple:
 def count_rounds(semantics) -> dict:
     """Count the steps of `semantics.Kernel.walk` that one reduction round
     would have left out of lowest terms: of those it hands to `_lowest`,
-    which it does only when a prime's power may have been cut short (none
-    on a side without it)."""
+    which it does only when a prime's power may have been cut short."""
     counts = {"steps": 0}
-    lowest = getattr(semantics, "_lowest", None)
-    if lowest is not None:
-        def counted(big, below, nums, den):
-            out = lowest(big, below, nums, den)
-            counts["steps"] += out[1] != den // gcd(big, den, *nums)
-            return out
-        semantics._lowest = counted
+    lowest = semantics._lowest
+
+    def counted(big, below, nums, den):
+        out = lowest(big, below, nums, den)
+        counts["steps"] += out[1] != den // gcd(big, den, *nums)
+        return out
+    semantics._lowest = counted
     return counts
 
 

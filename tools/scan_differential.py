@@ -46,15 +46,22 @@ sys.path.insert(0, str(ROOT / "src"))
 import pasynch  # noqa: E402  (the working tree's)
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True,
+                          timeout=120).stdout
+
+
+def extract(rev: str, dest: Path, *paths: str) -> None:
+    """`paths` of commit `rev` into `dest`, through `git archive`."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, *paths))) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
 def load_parent(rev: str) -> object:
     """The `src/pasynch` package of commit `rev`, as `parent_pasynch`."""
     dest = ROOT / ".bench_build" / "differential"
     shutil.rmtree(dest, ignore_errors=True)
-    tar = subprocess.run(["git", "archive", rev, "src/pasynch"], cwd=ROOT,
-                         capture_output=True, check=True, timeout=120).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter")
-                                    else {}))
+    extract(rev, dest, "src/pasynch")
     package = dest / "src" / "pasynch"
     spec = importlib.util.spec_from_file_location(
         "parent_pasynch", package / "__init__.py", submodule_search_locations=[str(package)])
