@@ -24,7 +24,7 @@ from .analysis import (
     witness_schedule_search,
 )
 from .core import InputError, Pa, PaError, Word
-from .paformat import load_pa, save_pa, write_trace_csv
+from .paformat import _output, load_pa, save_pa, write_trace_csv
 from .reduction import LiftedPa, TwinPa, Value1Instance, check_p1, check_p2, lift, twin
 from .semantics import TraceStream, acceptance_probability, lasso_stream, outcome, trace_stream
 
@@ -60,11 +60,7 @@ def _load(path: str, kind: type = Pa, **kw):
 
 def _emit_trace(pa: Pa, trace: TraceStream, csv_path: str | None) -> None:
     if csv_path:
-        try:
-            fh = open(csv_path, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise InputError(f"cannot write {csv_path}: {exc}") from None
-        with fh:
+        with _output(csv_path) as fh:
             write_trace_csv(pa.states, trace, fh)
     else:
         write_trace_csv(pa.states, trace, sys.stdout)

@@ -33,9 +33,12 @@ is present, otherwise a plain `Pa`.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import stat
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .core import Dist, InputError, Pa, as_prob
 from .reduction import LiftedPa, TwinPa
@@ -263,13 +266,44 @@ def load_pa(path: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa:
     return parse_pa(text, require_valid=require_valid)
 
 
-def save_pa(obj: Pa | LiftedPa | TwinPa, path: str) -> None:
-    text = serialize_pa(obj)
+@contextlib.contextmanager
+def _output(path: str) -> Iterator[IO[str]]:
+    """A UTF-8 text stream that writes `path` in place: the one place the
+    package opens a file for writing.
+
+    The file is opened without ``O_TRUNC`` (emptying a non-empty file first
+    makes ext4 flush it on close) and, when it is a regular file, cut on
+    exit at the position the bytes reached, also after an error part-way.
+    A new file gets mode ``0o666 & ~umask``; an existing one keeps its mode,
+    and a symlink or hard link is written through, as with ``open(path, "w")``.
+    A FIFO, terminal or ``/dev/null`` is never cut. The write is neither
+    atomic nor fsynced: a crash or a concurrent reader may see new bytes
+    followed by old ones. Any `OSError` becomes an `InputError`.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            cut = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                yield fh
+                fh.flush()
+            finally:  # after an error, at the bytes already written; close flushes the rest
+                if cut:
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def save_pa(obj: Pa | LiftedPa | TwinPa, path: str) -> None:
+    """Write `serialize_pa(obj)` to `path` in place (see `_output`); text
+    that UTF-8 cannot encode is refused before the file is opened."""
+    text = serialize_pa(obj)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def write_trace_csv(states: Sequence[str], trace: NormTrace | TraceStream, fh: IO[str]) -> None:

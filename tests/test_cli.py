@@ -133,6 +133,127 @@ def test_lift_into_a_missing_directory(files, tmp_path, capsys):
     assert not os.path.exists(os.path.dirname(out))
 
 
+OUTPUTS = ("save_pa", "lift", "trace")
+
+
+def _write(how, files, path, capsys):
+    """Write one output to `path` the way `how` names: (exit code, stderr)."""
+    if how == "save_pa":
+        try:
+            save_pa(twin(lift(b_half())), path)
+        except InputError as exc:
+            return 2, f"error: {exc}\n"
+        return 0, ""
+    code = main({"lift": ["lift", files["b_half"], "-o", path],
+                 "trace": ["trace", files["b_half_twin"], "--word", "a.@sym:$.a.a",
+                           "--csv", path]}[how])
+    out, err = capsys.readouterr()
+    assert out == ""
+    return code, err
+
+
+@pytest.mark.parametrize("how", OUTPUTS)
+def test_outputs_are_written_in_place(how, files, tmp_path, capsys):
+    path = tmp_path / "out"
+    assert _write(how, files, str(path), capsys) == (0, "")
+    fresh = path.read_bytes()
+    for old in (b"", fresh[:7], b"#" * len(fresh), fresh, b"#" * (3 * len(fresh))):
+        path.write_bytes(old)
+        assert _write(how, files, str(path), capsys) == (0, "")
+        assert path.read_bytes() == fresh  # no stale tail past the written length
+
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"#" * (2 * len(fresh)))
+    link.symlink_to(target)
+    assert _write(how, files, str(link), capsys) == (0, "")
+    assert link.is_symlink() and target.read_bytes() == fresh
+
+    other = tmp_path / "other"
+    other.write_bytes(b"#" * (2 * len(fresh)))
+    os.link(other, tmp_path / "same")
+    assert _write(how, files, str(tmp_path / "same"), capsys) == (0, "")
+    assert other.read_bytes() == fresh and os.path.samefile(other, tmp_path / "same")
+
+
+@pytest.mark.parametrize("how", OUTPUTS)
+def test_output_modes_are_those_of_open(how, files, tmp_path, capsys):
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"#" * 10_000)
+    kept.chmod(0o600)
+    assert _write(how, files, str(kept), capsys) == (0, "")
+    assert kept.stat().st_mode & 0o7777 == 0o600
+    mask = os.umask(0o002)
+    try:
+        assert _write(how, files, str(tmp_path / "new"), capsys) == (0, "")
+    finally:
+        os.umask(mask)
+    assert (tmp_path / "new").stat().st_mode & 0o7777 == 0o666 & ~0o002
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("how", OUTPUTS)
+def test_outputs_to_dev_null(how, files, capsys):
+    assert _write(how, files, "/dev/null", capsys) == (0, "")
+
+
+@pytest.mark.parametrize("how", OUTPUTS)
+@pytest.mark.parametrize("kind", ("read-only file", "directory"))
+def test_unwritable_outputs_exit_2_with_the_text_of_open(how, kind, files, tmp_path, capsys):
+    path = tmp_path / "out"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"old")
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):
+            pytest.skip("this user may write read-only files")
+    with pytest.raises(OSError) as err:
+        open(path, "w", encoding="utf-8")
+    assert _write(how, files, str(path), capsys) == (2, f"error: cannot write {path}: {err.value}\n")
+    assert kind == "directory" or path.read_bytes() == b"old"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", (
+    ["lift", "b_one", "-o"],
+    ["trace", "b_one_twin", "--word", "a", "--csv"],  # fails as the file is closed
+    ["lasso", "b_one_twin", "--loop", "a", "--reps", "3000", "--csv"],  # part-way through
+), ids=("lift", "trace", "lasso"))
+def test_a_full_device_is_an_input_error(argv, files, capsys):
+    assert main([argv[0], files[argv[1]], *argv[2:], "/dev/full"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+
+
+def test_a_write_error_part_way_cuts_the_file_where_it_stopped(files, tmp_path, capsys):
+    """Past `RLIMIT_FSIZE`, a write fails with EFBIG (Python ignores SIGXFSZ):
+    the file ends where the written bytes stopped, with no old tail."""
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "lasso.csv"
+    out.write_bytes(b"#" * 100_000)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20_000, hard))
+    try:
+        code = main(["lasso", files["b_one_twin"], "--loop", "a", "--reps", "3000",
+                     "--csv", str(out)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: [Errno 27] File too large\n"
+    assert 0 < len(out.read_bytes()) <= 20_000
+    assert b"#" not in out.read_bytes()
+
+
+def test_an_error_in_the_writer_keeps_what_was_written(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"#" * 100)
+    with pytest.raises(RuntimeError):
+        with paformat._output(str(out)) as fh:
+            fh.write("kept\n")
+            raise RuntimeError
+    assert out.read_bytes() == b"kept\n"
+
+
 def test_lasso(files, capsys):
     assert main(["lasso", files["b_one_twin"], "--stem", "a.@sym:$",
                  "--loop", "@sym:#.a.@sym:$", "--reps", "2"]) == 0

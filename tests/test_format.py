@@ -23,6 +23,7 @@ from pasynch import (
     norm_trace,
     parse_pa,
     read_trace_csv,
+    save_pa,
     serialize_pa,
     twin,
     write_trace_csv,
@@ -307,6 +308,19 @@ def test_names_with_whitespace_are_not_serialized(state, letter, message):
     with pytest.raises(InputError) as err:
         serialize_pa(pa)
     assert str(err.value) == message
+
+
+def test_a_name_utf8_cannot_encode_is_refused_before_the_file_is_opened(tmp_path):
+    q = "q\ud800"  # a lone surrogate: a valid name that UTF-8 cannot encode
+    pa = Pa((q, "z"), ("a",), {q: 1}, {(q, "a"): {"z": 1}, ("z", "a"): {"z": 1}}, ("z",))
+    assert pa.validate().ok
+    path = tmp_path / "old.pa"
+    path.write_bytes(B_ONE_DOC.encode())
+    with pytest.raises(InputError) as err:
+        save_pa(pa, str(path))
+    assert str(err.value) == (f"cannot write {path}: 'utf-8' codec can't encode character "
+                              "'\\ud800' in position 22: surrogates not allowed")
+    assert path.read_bytes() == B_ONE_DOC.encode()
 
 
 @pytest.mark.parametrize("pa, message", (

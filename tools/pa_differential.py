@@ -32,6 +32,11 @@ is generated once and read by both sides, which are compared on:
   exception: ``lift`` of a plain automaton with an accepting state,
   ``twin`` of its lift when its start is one state, ``twin`` of a lifted
   document;
+- the files written, byte for byte: ``save_pa`` of the parsed document
+  and of each construction, and ``pasynch trace --csv`` of a random word
+  on the document, each over no file, then over an empty file and files
+  shorter than, as long as and longer than the first output, in a
+  temporary directory per side;
 - before the documents, ``as_prob`` on a literal corpus: edge cases (a
   zero denominator, a sign, a point, an underscore, padding, non-ASCII
   digits, a numerator past the int/str digit limit, a literal one
@@ -51,11 +56,16 @@ printing the first few, else 0. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
+import io
 import random
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from scan_differential import load_parent
 
@@ -187,18 +197,51 @@ def corrupt(text: str, rng: random.Random) -> tuple[str, list[str]]:
     return "\n".join(lines) + rng.choice(("\n", "", "\n\n")), edits
 
 
-def construct(package, obj) -> tuple:
-    """The constructions `obj` admits, each as written text or exception."""
+def construct(package, obj) -> list:
+    """The constructions `obj` admits, each as `outcome` of the automaton built."""
     if isinstance(obj, package.LiftedPa):
-        return (outcome(lambda: package.serialize_pa(package.twin(obj))),)
+        return [outcome(package.twin, obj)]
     if isinstance(obj, package.TwinPa) or not obj.accepting:
-        return ()
-    b = package.Value1Instance(obj, require_dirac=False)
-    lifted = outcome(package.lift, b)
-    if lifted[0] != "ok":
-        return (lifted,)
-    return (outcome(package.serialize_pa, lifted[1]),
-            outcome(lambda: package.serialize_pa(package.twin(lifted[1]))))
+        return []
+    lifted = outcome(package.lift, package.Value1Instance(obj, require_dirac=False))
+    return [lifted] if lifted[0] != "ok" else [lifted, outcome(package.twin, lifted[1])]
+
+
+def in_place(path: Path, write) -> tuple:
+    """What `write()` returns or raises and the bytes it leaves at `path`: over
+    no file, then over an empty file and files shorter than, as long as and
+    longer than what it wrote over none."""
+    path.unlink(missing_ok=True)
+    got = [(outcome(write), path.read_bytes() if path.exists() else None)]
+    n = len(got[0][1] or b"")
+    for old in (b"", b"#" * (n // 2), b"#" * n, b"#" * (2 * n + 1)):
+        path.write_bytes(old)
+        got.append((outcome(write), path.read_bytes()))
+    return tuple(got)
+
+
+def saved(package, made: tuple, path: Path) -> tuple:
+    """`made`, an `outcome` of an automaton: "ok" with its `serialize_pa` text
+    and what `save_pa` leaves at `path` (`in_place`), or the exception."""
+    if made[0] != "ok":
+        return made
+    return ("ok", outcome(package.serialize_pa, made[1]),
+            in_place(path, lambda: package.save_pa(made[1], str(path))))
+
+
+def trace_csv(package, text: str, word: str, directory: Path) -> tuple:
+    """`pasynch trace --csv` of `word` on the document `text`, as `in_place`
+    reports it, with what the command printed."""
+    source, out = directory / "in.pa", directory / "trace.csv"
+    source.write_text(text, encoding="utf-8")
+    main = importlib.import_module(f"{package.__name__}.cli").main
+
+    def run():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            code = main(["trace", str(source), "--word", word, "--csv", str(out)])
+        return code, printed.getvalue()
+    return in_place(out, run)
 
 
 def walks(package, pa, words) -> tuple:
@@ -272,11 +315,16 @@ def count_rounds(semantics) -> dict:
     return counts
 
 
-def read(package, text: str, words, seed: float) -> tuple:
-    """Everything one side reports on `text`."""
+def read(package, text: str, words, seed: float, directory: Path) -> tuple:
+    """Everything one side reports on `text`; files are written in `directory`."""
     strict = outcome(package.parse_pa, text)
-    written = strict if strict[0] != "ok" else outcome(package.serialize_pa, strict[1])
-    built = outcome(construct, package, strict[1]) if strict[0] == "ok" else ()
+    written = saved(package, strict, directory / "out.pa")
+    built = ()
+    if strict[0] == "ok":
+        pa = strict[1] if isinstance(strict[1], package.Pa) else strict[1].pa
+        built = (outcome(lambda: tuple(saved(package, made, directory / "out.pa")
+                                       for made in construct(package, strict[1]))),
+                 trace_csv(package, text, ".".join(words(pa)[0]), directory))
     loose = outcome(package.parse_pa, text, require_valid=False)
     if loose[0] != "ok":
         return written, built, loose
@@ -295,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"parent": load_parent(args.parent), "change": pasynch}
     rounds = count_rounds(pasynch.semantics)
     rng = random.Random(args.seed)
+    scratch = tempfile.TemporaryDirectory()
+    directories = {side: Path(scratch.name, side) for side in sides}
+    for directory in directories.values():
+        directory.mkdir()
     start = time.perf_counter()
 
     literals = list(CORPUS) + [random_literal(rng) for _ in range(2000)]
@@ -319,7 +371,8 @@ def main(argv: list[str] | None = None) -> int:
             pick = random.Random(seed)
             return [tuple(pick.choices(pa.alphabet, k=pick.randint(0, 6)) if pa.alphabet else ())
                     for _ in range(3)]
-        got = [read(package, text, words, seed) for package in sides.values()]
+        got = [read(package, text, words, seed, directories[side])
+               for side, package in sides.items()]
         counts["parsed"] += got[1][0][0] == "ok"
         if got[0] != got[1]:
             mismatches.append((kind, edits, text, got))
@@ -329,6 +382,7 @@ def main(argv: list[str] | None = None) -> int:
           f"valid) and {len(literals)} literals per side; seed {args.seed}, "
           f"{time.perf_counter() - start:.1f} s; {rounds['steps']} walk steps of the change "
           "took more than one reduction round")
+    scratch.cleanup()
     print(f"mismatches: {len(mismatches) + len(literal_mismatches)}")
     for text, got in literal_mismatches[:5]:
         print(f"  literal {text[:60]!r}\n    parent: {got[0]}\n    change: {got[1]}")
