@@ -91,12 +91,15 @@ def _word_count(n_letters: int, max_len: int) -> int:
 def _check_space(pa: Pa, max_len: int, budget: int) -> int:
     """Number of words up to `max_len`, refused past `budget`.
 
+    A negative `max_len` or `budget` is an input error, not an overrun.
     With two or more letters there are at least 2^max_len words, so a
     `max_len` of `budget.bit_length()` or more is refused without
     computing the count, which could have millions of digits.
     """
     if max_len < 0:
         raise InputError(f"max_len must be >= 0, got {max_len}")
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     n = len(pa.alphabet)
     if n >= 2 and max_len >= budget.bit_length():
         raise BudgetExceededError(

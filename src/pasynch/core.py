@@ -7,10 +7,10 @@ float would silently turn equality checks into tolerance games.
 
 Hot paths read and build masses on integers. Only this module touches the
 two slots every `Fraction` has, `_numerator` and `_denominator`:
-`_coprime_fraction` fills them, and `Dist._entries`, `Dist._texts`,
-`Dist._total_ints` and `_half` read them, so other modules never call the
-`numerator` and `denominator` properties or do `Fraction` arithmetic to
-load, compile, twin or write an automaton.
+`_coprime_fraction` and `_base_fraction` fill them, and `Dist._entries`,
+`Dist._texts`, `Dist._total_ints` and `_half` read them, so other modules
+never call the `numerator` and `denominator` properties or do `Fraction`
+arithmetic to load, compile, twin or write an automaton.
 """
 from __future__ import annotations
 
@@ -154,7 +154,12 @@ def _base_fraction(big: int, below: int, num: int, den: int) -> Fraction:
     """`num / den` for a `den` whose primes all divide the base of `big`
     and `below`, reduced in `_lowest`'s rounds, where `Fraction(num, den)`
     runs one gcd on two big numbers. The first round is inline, as in
-    `semantics.Kernel.walk`."""
+    `semantics.Kernel.walk`, and the two `Fraction` slots are filled here,
+    as `_coprime_fraction` fills them, so every norm, acceptance
+    probability and kernel `Dist` mass costs this one frame. `walk`
+    divides its pairs through a straight-line template for the same
+    reason: on Python 3.11 each extra call or comprehension is a frame;
+    column kernels keep the comprehension."""
     g = gcd(big, num, den)
     if g != 1:
         if below % g:
@@ -162,7 +167,10 @@ def _base_fraction(big: int, below: int, num: int, den: int) -> Fraction:
         else:
             num //= g
             den //= g
-    return _coprime_fraction(num, den)
+    f = object.__new__(Fraction)
+    f._numerator = num
+    f._denominator = den
+    return f
 
 
 class Dist:
@@ -382,8 +390,16 @@ class Pa:
     def check_word(self, word: Sequence[str], forbid: Mapping[str, str] = _NO_ROLES) -> Word:
         """Normalize a word to a tuple, rejecting letters outside the alphabet
         and letters that `forbid` maps to a role name, such as "commit"; at
-        each position a forbidden letter is reported first."""
+        each position a forbidden letter is reported first. With nothing
+        forbidden, one set test passes a word of known letters; the loop
+        runs only to word an error or to check the roles."""
         w = tuple(word)
+        if not forbid:
+            try:
+                if self.letter_set.issuperset(w):
+                    return w
+            except TypeError:
+                pass  # an unhashable item; before 3.11 the test hashes every item first
         for i, a in enumerate(w):
             if a in forbid:
                 raise InputError(f"{forbid[a]} letter {a!r} at position {i} not allowed here")

@@ -64,7 +64,8 @@ class Kernel:
     over one denominator, for the search scan's layers.
     """
 
-    __slots__ = ("names", "start", "accept", "_big", "_below", "_index", "_letters", "_valid")
+    __slots__ = ("names", "start", "accept", "_big", "_below", "_index", "_letters", "_valid",
+                 "_divide")
 
     @classmethod
     def of(cls, pa: Pa) -> "Kernel":
@@ -92,6 +93,8 @@ class Kernel:
                 out.append((j, num, den))
         self.names = tuple(names)
         self._index = index
+        n = len(names)
+        self._divide = _dense_step(n).divide if n <= DENSE_MAX_NAMES else _divide
         unknown = [(i, f"unknown state {names[i]!r}") for i in range(len(pa.states), len(names))]
         self._letters = {a: self._compile(a, r, entries, unknown) for a, r in rows.items()}
         self.start = self.ints(pa.initial)
@@ -173,9 +176,12 @@ class Kernel:
         divides the base, as the start denominator and each `L_a` do. A
         step divides by `g = gcd(big, den, *v)`, big-mod-small gcds linear
         in the size of `den`, and hands the pair to `core._lowest` for more
-        rounds only when `below % g != 0` (see there). A `pair` from `ints`
-        of another distribution may carry primes outside the base; `step`
-        takes those out itself.
+        rounds only when `below % g != 0` (see there). Otherwise it divides
+        through the kernel's `_divide`: on the template path the
+        straight-line one of `_dense_step`, which on Python 3.11 saves the
+        frame of a list comprehension; column kernels keep the
+        comprehension. A `pair` from `ints` of another distribution may
+        carry primes outside the base; `step` takes those out itself.
 
         A step tests its letter's errors (mass on a missing row or an
         unknown name) and a mass past 1 only on a malformed automaton or
@@ -183,7 +189,7 @@ class Kernel:
         valid automaton's rows sum to exactly 1 over its states, so every
         step keeps the start's total of at most 1.
         """
-        letters, big, below = self._letters, self._big, self._below
+        letters, big, below, divide = self._letters, self._big, self._below, self._divide
         v, den = pair = self.start if pair is None else pair
         check = not self._valid or sum(v) > den
         yield pair
@@ -200,7 +206,7 @@ class Kernel:
                 if below % g:
                     v, den = _lowest(big, below, v, den)
                 else:
-                    v = tuple([x // g for x in v])
+                    v = divide(v, g)
                     den //= g
             # max(v) if v, as max(v, default=0) parses its keyword on every call
             if check and v and max(v) > den:
@@ -219,22 +225,31 @@ def _dense_step(n: int):
     one straight-line expression. Both are functions of the template's
     code whose default arguments are `c` itself, one local per constant,
     so a letter costs one tuple and two function objects and no compile.
-    The source holds identifiers only, never a name, letter or number of
-    an automaton, so no constant meets the int/str digit limit.
+    `make.divide(x, g)` returns `(x0 // g, ..., x{n-1} // g)`, compiled in
+    the same source: it is the division of the template's kernels, so
+    `Kernel.walk` divides in one frame where `tuple([y // g for y in x])`
+    would take two on Python 3.11, whose comprehensions run in a frame of
+    their own (PEP 709 inlines them from 3.12). Column kernels keep the
+    comprehension (`_divide`). The source holds identifiers only, never a
+    name, letter or number of an automaton, so no constant meets the
+    int/str digit limit.
     """
     ids = range(n)
     xs = "".join(f"x{i}, " for i in ids)
     cs = "".join(f", c{i}_{j}" for i in ids for j in ids)
     forward = "".join(" + ".join(f"x{i}*c{i}_{j}" for i in ids) + ", " for j in ids)
     back = "".join(" + ".join(f"c{i}_{j}*x{j}" for j in ids) + ", " for i in ids)
+    divide = "".join(f"x{i} // g, " for i in ids)
     scope: dict = {}
     exec(compile(f"def forward(x{cs}):\n    [{xs}] = x\n    return ({forward})\n"
-                 f"def back(x{cs}):\n    [{xs}] = x\n    return ({back})\n",
+                 f"def back(x{cs}):\n    [{xs}] = x\n    return ({back})\n"
+                 f"def divide(x, g):\n    [{xs}] = x\n    return ({divide})\n",
                  f"<dense step, {n} names>", "exec"), scope)
     fwd, bwd = scope["forward"].__code__, scope["back"].__code__
 
     def make(c: tuple) -> tuple:
         return FunctionType(fwd, scope, None, c), FunctionType(bwd, scope, None, c)
+    make.divide = scope["divide"]
     return make
 
 
@@ -257,6 +272,12 @@ def _column_step(n: int, columns: list) -> tuple:
     return forward, back
 
 
+def _divide(x: tuple, g: int) -> tuple:
+    """`x` divided by `g` entry by entry: the division of kernels past the
+    template, as `_dense_step(n).divide` is of those within it."""
+    return tuple([y // g for y in x])
+
+
 def _scaled_steps(n: int, consts, r: int) -> tuple:
     """The forward and back steps of a letter's compiled numerators
     `consts`, each times `r`: a dense tuple for the template, a column
@@ -275,7 +296,7 @@ def step(pa: Pa, d: Dist, letter: str) -> Dist:
     g = gcd(den, *v)  # the primes of `d` outside the kernel's base
     # one can still divide a single mass, so the masses are reduced over `den`
     den //= g
-    return Dist._from_ints(k.names, tuple([x // g for x in v]), den, den, 1)
+    return Dist._from_ints(k.names, k._divide(v, g), den, den, 1)
 
 
 def outcome(pa: Pa, word: Sequence[str]) -> list[Dist]:

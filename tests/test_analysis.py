@@ -110,6 +110,19 @@ class TestBoundedValueSearch:
         with pytest.raises(BudgetExceededError):
             bounded_value_search(b, 30, budget=1000)
 
+    @pytest.mark.parametrize("budget", (-1, -2, -10 ** 30))
+    def test_negative_budget_is_an_input_error(self, budget):
+        with pytest.raises(InputError) as err:
+            bounded_value_search(b_half(), 3, budget=budget)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"budget must be >= 0, got {budget}"
+        # the max_len check comes first
+        with pytest.raises(InputError, match="^max_len must be >= 0, got -1$"):
+            bounded_value_search(b_half(), -1, budget=budget)
+        # a zero budget is still an overrun
+        with pytest.raises(BudgetExceededError):
+            bounded_value_search(b_half(), 3, budget=0)
+
     def test_tie_break_follows_declared_alphabet_order(self):
         pa = Pa(
             states=("s0", "sA"),
@@ -194,6 +207,17 @@ class TestWitnessScheduleSearch:
         b = random_value1_instance(rng, max_letters=3)
         with pytest.raises(BudgetExceededError):
             witness_schedule_search(b, 2, 40, budget=100)
+
+    @pytest.mark.parametrize("budget", (-1, -2, -10 ** 30))
+    def test_negative_budget_is_an_input_error(self, budget):
+        with pytest.raises(InputError) as err:
+            witness_schedule_search(b_half(), 1, 3, budget=budget)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"budget must be >= 0, got {budget}"
+        with pytest.raises(InputError, match="^max_len must be >= 0, got -1$"):
+            witness_schedule_search(b_half(), 1, -1, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            witness_schedule_search(b_half(), 1, 3, budget=0)
 
     def test_found_words_beat_their_rungs(self):
         rng = random.Random(23)

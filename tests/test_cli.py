@@ -471,6 +471,15 @@ def test_huge_max_len_is_refused_at_once(files, capsys, command, max_len):
         f"error: sweep of at least 2^{max_len} words exceeds the budget of 1048576\n")
 
 
+@pytest.mark.parametrize("command", (["search"], ["schedule", "--k", "1"]))
+def test_negative_budget_is_an_input_error(files, capsys, command):
+    argv = [command[0], files["b_half"], *command[1:], "--max-len", "3"]
+    assert main([*argv, "--budget", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: budget must be >= 0, got -1\n")
+    assert main([*argv, "--budget", "0"]) == 3
+    assert capsys.readouterr() == ("", "error: sweep of 4 words exceeds the budget of 0\n")
+
+
 def test_schedule_budget_exceeded(files, capsys):
     assert main(["schedule", files["b_one"], "--k", "1", "--max-len", "64",
                  "--budget", "10"]) == 3

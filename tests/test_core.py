@@ -382,6 +382,48 @@ class TestCheckWord:
         assert str(err.value) == "commit letter 'z' at position 0 not allowed here"
 
 
+def _reference_check_word(pa, word, forbid):
+    """`Pa.check_word` as one loop over the positions."""
+    w = tuple(word)
+    for i, a in enumerate(w):
+        if a in forbid:
+            raise InputError(f"{forbid[a]} letter {a!r} at position {i} not allowed here")
+        if a not in pa.letter_set:
+            raise InputError(f"unknown letter {a!r} at position {i}")
+    return w
+
+
+def _checked(check, *args):
+    """What `check(*args)` returns, or the class and text of what it raises."""
+    try:
+        return "ok", check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# letters, names outside the alphabet, other hashables and unhashables
+_FOREIGN = st.one_of(st.sampled_from(("z", "", "A", "a ", "q0", "#")), st.integers(-2, 2),
+                     st.none(), st.tuples(st.just("a")), st.lists(st.just("a"), max_size=1),
+                     st.sets(st.just("a"), max_size=1), st.dictionaries(st.just("a"), st.none()))
+
+
+@given(st.lists(st.sampled_from(("a", "b")), max_size=12), st.data())
+def test_check_word_is_the_reference_loop(letters, data):
+    pa = two_state_pa()
+    word = list(letters)
+    for _ in range(data.draw(st.integers(0, 3))):
+        word.insert(data.draw(st.integers(0, len(word))), data.draw(_FOREIGN))
+    roles = data.draw(st.one_of(st.none(), st.dictionaries(
+        st.sampled_from(("a", "b", "z", "")), st.sampled_from(("reset", "commit")), max_size=3)))
+    args = () if roles is None else (roles,)
+    want = _checked(_reference_check_word, pa, word, roles or {})
+    assert _checked(pa.check_word, word, *args) == want
+    # a generator is read once, and only once
+    once = (a for a in word)
+    assert _checked(pa.check_word, once, *args) == want
+    assert next(once, None) is None
+
+
 class TestPost:
     def test_deterministic_edge(self):
         assert two_state_pa().post("q0", "a") == {"q1"}

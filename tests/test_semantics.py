@@ -33,7 +33,7 @@ from pasynch import (
     twin,
 )
 from pasynch import semantics
-from pasynch.core import _big_below, _coprime_fraction, _lowest
+from pasynch.core import _base_fraction, _big_below, _coprime_fraction, _lowest
 from pasynch.semantics import Kernel, _dense_step, lasso_stream
 from helpers import (
     family_pa,
@@ -424,13 +424,19 @@ def _walk_in_lowest_terms(pa, word):
     return pairs
 
 
+def _quarter_pa():
+    """p keeps 4^-n after a^n; `c` collapses the pair (1, 4^n - 1) / 4^n onto
+    p, leaving (4^n, 0) / 4^n, a common factor 4^n. The base is 4 and big
+    is 4^14, so the `c` step divides once up to n = 13, and from n = 14 on
+    one round cannot take it all out and the walk hands the pair to
+    `_lowest`."""
+    return Pa(("p", "q"), ("a", "c"), {"p": 1},
+              {("p", "a"): {"p": Fraction(1, 4), "q": Fraction(3, 4)}, ("q", "a"): {"q": 1},
+               ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}})
+
+
 def test_walk_reduces_a_common_factor_past_the_base(monkeypatch):
-    # p keeps 4^-n after a^n; collapsing onto p leaves the pair (4^n, 0) / 4^n,
-    # a common factor 4^n. The base is 4 and big is 4^14, so from n = 14 on
-    # one round cannot take it all out and the walk hands the pair to `_lowest`
-    pa = Pa(("p", "q"), ("a", "c"), {"p": 1},
-            {("p", "a"): {"p": Fraction(1, 4), "q": Fraction(3, 4)}, ("q", "a"): {"q": 1},
-             ("p", "c"): {"p": 1}, ("q", "c"): {"p": 1}})
+    pa = _quarter_pa()
     assert (Kernel.of(pa)._big, Kernel.of(pa)._below) == (4 ** 14, 4 ** 13)
     rounds = []
 
@@ -523,6 +529,24 @@ def test_walk_on_a_base_past_one_digit():
         assert acceptance_probability(pa, word) == Fraction(pairs[-1][0][0], pairs[-1][1])
 
 
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_base_fraction_is_the_reduced_fraction(data):
+    # a denominator over a base's primes, past big, and a numerator that
+    # shares some of their powers; 0 included
+    primes = data.draw(st.lists(st.sampled_from((2, 3, 5, 7, 2 ** 31 - 1)), max_size=3,
+                                unique=True))
+    base = prod(p ** data.draw(st.integers(1, 3)) for p in primes)
+    den = prod(p ** data.draw(st.integers(0, 80)) for p in primes)
+    common = prod(p ** data.draw(st.integers(0, 80)) for p in primes)
+    num = common * data.draw(st.one_of(st.just(0), st.integers(1, 10 ** 40)))
+    got = _base_fraction(*_big_below(base), num, den)
+    want = Fraction(num, den)
+    assert type(got) is Fraction and gcd(got._numerator, got._denominator) == 1
+    _assert_slots(got, want)
+    _assert_same_fraction(got, want)
+
+
 @pytest.mark.parametrize("num, den", [(0, 1), (1, 1), (1, 2), (2, 3), (5, 2 ** 61 - 1),
                                       (3 ** 40, 2 ** 70 * 7)])
 def test_coprime_fraction_is_a_plain_fraction(num, den):
@@ -576,9 +600,54 @@ def _both_paths(pa, monkeypatch):
         k = Kernel(pa)
         assert all(_is_template(f) == dense for _, *steps, _, _ in k._letters.values()
                    for f in steps)
+        assert _is_template(k._divide) == dense
         kernels.append(k)
     monkeypatch.undo()
     return kernels
+
+
+@pytest.mark.parametrize("n", range(semantics.DENSE_MAX_NAMES + 1))
+def test_template_divides_every_entry(n):
+    rng = random.Random(0xD1 + n)
+    divide = _dense_step(n).divide
+    assert _is_template(divide)
+    for _ in range(30):
+        g = rng.choice((1, 2, 3, 4 ** 14, rng.randrange(1, 10 ** 12)))
+        v = tuple(rng.choice((0, 1, g, g * rng.randrange(10 ** 40), rng.randrange(10 ** 200)))
+                  for _ in range(n))
+        assert divide(v, g) == tuple([x // g for x in v])
+
+
+def _walk_counting_divisions(k, word):
+    """The pairs of `k.walk(word)` and how many steps called `k._divide`."""
+    divisions = []
+    divide = k._divide
+
+    def counted(v, g):
+        divisions.append(g)
+        return divide(v, g)
+    k._divide = counted
+    try:
+        return list(k.walk(word)), len(divisions)
+    finally:
+        k._divide = divide
+
+
+def test_each_path_divides_like_the_reference(monkeypatch):
+    pa = _quarter_pa()
+    dense, columns = _both_paths(pa, monkeypatch)
+    assert dense._divide is _dense_step(2).divide and columns._divide is semantics._divide
+    for n in (0, 1, 7, 13, 14, 15, 40):
+        word = ("a",) * n + ("c", "a")
+        want = [_pair(d, ("p", "q")) for d in
+                accumulate(word, lambda d, a: reference_step(pa, d, a), initial=pa.initial)]
+        for k in (dense, columns):
+            pairs, divisions = _walk_counting_divisions(k, word)
+            assert pairs == want
+            # the c step divides once while 4^n divides `below`; past that
+            # `_lowest` divides in rounds of its own
+            assert divisions == (1 if 1 <= n <= 13 else 0)
+            assert pairs[n + 1] == ((1, 0), 1)
 
 
 def _run(steps):

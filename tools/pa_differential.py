@@ -28,6 +28,11 @@ is generated once and read by both sides, which are compared on:
   automata too. Words this long take the change's
   ``Kernel.walk`` past its first reduction round; the count of walk
   steps that needed more rounds is printed;
+- ``Pa.check_word`` on that automaton, on random words that mix its
+  letters with foreign tokens (other names, the empty string, an int,
+  ``None``, a tuple, a list and a set) at random positions, each with no
+  role map and with a random one over its letters: the tuple returned, or
+  the exception's class name and exact text;
 - whatever construction the parsed document admits, as written text or
   exception: ``lift`` of a plain automaton with an accepting state,
   ``twin`` of its lift when its start is one state, ``twin`` of a lifted
@@ -83,6 +88,9 @@ CORPUS = TOKEN_LITERALS + ("", " 1/2", "1/2 ", "1 /2", "\t0")
 TRACE_LETTERS = 60
 # denominators of `step`'s distributions, most with primes no row has (rows are over 1-8)
 STEP_DENS = (1, 4, 11, 13, 3 * 7 * 11, 2 ** 5 * 11, 10 ** 6 + 3)
+# what `checked_words` mixes into words besides the letters: other names, and
+# other objects, hashable or not
+FOREIGN = ("zz", "", "A", "q0", "@sym:#", 3, None, ("a",), ["a"], {"a"})
 EDITS = ("space", "comment", "repeat row", "drop row", "literal", "unknown name",
          "short row", "odd row", "twice", "metadata", "key", "colon")
 
@@ -300,6 +308,19 @@ def traces(package, pa, rng: random.Random) -> tuple:
             *(outcome(walked, start) for start in starts[1:]))
 
 
+def checked_words(pa, rng: random.Random) -> tuple:
+    """`Pa.check_word` as `read` compares it."""
+    got = []
+    for _ in range(4):
+        word = rng.choices(pa.alphabet, k=rng.randint(0, 8)) if pa.alphabet else []
+        for _ in range(rng.randint(0, 2)):
+            word.insert(rng.randint(0, len(word)), rng.choice(FOREIGN))
+        roles = {a: rng.choice(("reset", "commit"))
+                 for a in rng.sample(pa.alphabet, rng.randint(0, len(pa.alphabet)))}
+        got.append((outcome(pa.check_word, word), outcome(pa.check_word, word, roles)))
+    return tuple(got)
+
+
 def count_rounds(semantics) -> dict:
     """Count the steps of `semantics.Kernel.walk` that one reduction round
     would have left out of lowest terms: of those it hands to `_lowest`,
@@ -330,7 +351,7 @@ def read(package, text: str, words, seed: float, directory: Path) -> tuple:
         return written, built, loose
     pa = loose[1] if isinstance(loose[1], package.Pa) else loose[1].pa
     return (written, built, pa.validate().violations, walks(package, pa, words(pa)),
-            traces(package, pa, random.Random(seed)))
+            traces(package, pa, random.Random(seed)), checked_words(pa, random.Random(seed)))
 
 
 def main(argv: list[str] | None = None) -> int:
