@@ -106,9 +106,6 @@ def parse_pa(text: str, *, require_valid: bool = True) -> Pa | LiftedPa | TwinPa
         if not stripped or stripped[0] == "#":
             continue
         key, sep, rest = stripped.partition(":")
-        if key == "row" and sep and first_key:  # most lines: split below, each body once
-            rows.append((rest, lineno))
-            continue
         key = key.strip()
         if not sep:
             raise FormatError("expected 'key: tokens...'", lineno)

@@ -7,9 +7,10 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from pasynch import (
@@ -931,6 +932,12 @@ def fuzz_files(tmp_path_factory):
     return _write_fixtures(tmp_path_factory.mktemp("fuzz"))
 
 
+@pytest.fixture(scope="module")
+def fuzz_bytes(fuzz_files):
+    """The bytes of each fixture file, read before any command runs."""
+    return {Path(fuzz_files[name]): Path(fuzz_files[name]).read_bytes() for name in FIXTURES}
+
+
 # subcommand -> (number of file arguments, its value flags)
 COMMANDS = {
     "validate": (1, ()), "run": (1, ("--word",)), "accept": (1, ("--word",)),
@@ -946,28 +953,55 @@ SMALL_INTS = tuple(str(n) for n in range(-2, 7))
 INT_FLAGS = ("--reps", "--max-len", "--budget", "--k", "--horizon")
 
 
-@given(data=st.data())
-@settings(max_examples=200, deadline=None)
-def test_main_keeps_the_exit_code_contract(fuzz_files, data):
-    # outputs never overwrite the fixtures; what they leave can be read back
-    outputs = [os.path.join(fuzz_files["dir"], name)
-               for name in ("out.pa", "out.csv", os.path.join("missing", "x.pa"))]
-    paths = [fuzz_files[k] for k in sorted(fuzz_files) if k != "dir"] + outputs
-    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+# the files an argv names, resolved in the test: the fixtures, and outputs,
+# which never overwrite a fixture and whose leftovers can be read back
+FIXTURES = ("b_half", "b_half_lift", "b_half_twin", "b_one", "b_one_lift", "b_one_twin")
+OUTPUTS = ("out.pa", "out.csv", os.path.join("missing", "x.pa"))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for `main`, its files named as in `FIXTURES` and `OUTPUTS`."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
     n_files, flags = COMMANDS[command]
-    argv = [command] + [data.draw(st.sampled_from(paths)) for _ in range(n_files)]
-    extra = data.draw(st.lists(st.sampled_from(("--word", "--reps", "-o")), max_size=1))
+    argv = [command] + [draw(st.sampled_from(FIXTURES + OUTPUTS)) for _ in range(n_files)]
+    extra = draw(st.lists(st.sampled_from(("--word", "--reps", "-o")), max_size=1))
     for flag in (*flags, *extra):
-        if data.draw(st.integers(0, 9)) == 0:
+        if draw(st.integers(0, 9)) == 0:
             continue  # leave the flag out
         argv.append(flag)
         if flag in ("-o", "--csv"):
-            argv.append(data.draw(st.sampled_from(outputs)))
+            argv.append(draw(st.sampled_from(OUTPUTS)))
         else:  # mostly a value of the flag's kind, sometimes one of the other kind
-            ints = (flag in INT_FLAGS) != (data.draw(st.integers(0, 9)) == 0)
-            argv.append(data.draw(st.sampled_from(SMALL_INTS if ints else WORDS)))
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            ints = (flag in INT_FLAGS) != (draw(st.integers(0, 9)) == 0)
+            argv.append(draw(st.sampled_from(SMALL_INTS if ints else WORDS)))
+    return argv
+
+
+@given(argv=cli_argvs())
+# a negative budget once exited 3, as if the sweep had overrun it
+@example(argv=["search", "b_one", "--max-len", "2", "--budget", "-1"])
+@settings(max_examples=200, deadline=None)
+def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, argv):
+    paths = {name: fuzz_files[name] for name in FIXTURES}
+    paths |= {name: os.path.join(fuzz_files["dir"], name) for name in OUTPUTS}
+    argv = [paths.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, sink.getvalue())
+    err = err.getvalue()
+    context = (argv, out.getvalue(), err)
+    assert code in (0, 1, 2, 3), context
     event(f"exit {code}")
+    # the code agrees with what the command said: 3 is an overrun of a
+    # budget of at least 0, 2 a reported input error, 0 a silent success
+    negative_budget = any(flag == "--budget" and value.startswith("-")
+                          for flag, value in zip(argv, argv[1:]))
+    if code == 3:
+        assert "exceeds the budget" in err and not negative_budget, context
+    elif code == 2:
+        assert "error: " in err and "Traceback" not in err, context
+    elif code == 0:
+        assert err == "", context
+    for path, old in fuzz_bytes.items():
+        assert path.read_bytes() == old, (path, context)

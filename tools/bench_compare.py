@@ -45,7 +45,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from scan_differential import extract, git
+from differential import extract, git
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -1,13 +1,42 @@
-"""Read, check, compile, twin and write random `.pa` documents against a
-parent commit's `src/`.
+"""Compare random searches and `.pa` documents with a parent commit's `src/`.
 
-    python3 tools/pa_differential.py --parent HEAD --documents 20000
+    python3 tools/differential.py --parent HEAD --searches 50000 --documents 20000
 
-The parent's ``src/`` is loaded as the package ``parent_pasynch`` by
-``scan_differential.load_parent``, next to the working tree's ``pasynch``,
-in this one process; both differentials extract into
-``.bench_build/differential/``, so run them one at a time. Each document
-is generated once and read by both sides, which are compared on:
+The parent's ``src/`` is extracted from git with ``git archive`` into
+``.bench_build/differential/`` and imported once as the package
+``parent_pasynch``, next to the working tree's ``pasynch``, in this one
+process. Nothing in either package is replaced. Two families of cases
+run, each from its own random stream: the searches from ``--seed`` (17 by
+default), the documents from ``--seed`` + 3 (20). ``--searches 0`` or
+``--documents 0`` leaves a family out. Every case runs on both sides and
+its results are compared whole.
+
+**Searches.** Each case builds the same automaton on both sides and
+compares:
+
+- ``bounded_value_search`` and ``witness_schedule_search`` (``k`` 1-6 at
+  random), whole results, ``explored`` included: these are the searches
+  counted by ``--searches``;
+- the words ``_shortlex_scan`` yields above a fixed random bar of at
+  least 0, as ``(rank, Fraction(num, den))``: a scan's yields are not in
+  lowest terms, so they are compared by value.
+
+Cases are of four kinds. 72% are plain: 1-6 states, 1-3 letters,
+``max_len`` 0-7, denominators up to 8, rows either drawn fresh, from a
+shared pool of two, or absorbing, the start Dirac or a random
+distribution (Dirac in twins). 22% are twins of a random lifted 1-3-state
+instance, with ``max_len`` 0-5 over their 3-5 letters. 4% are large twins,
+of 6-7-state sources at ``max_len`` 0-3: their 15-17 names are past
+``semantics.DENSE_MAX_NAMES``, so they step on columns. 2% are chains: a
+plain one-letter automaton at ``max_len`` 1,000-3,000, whose search layers
+pass ``analysis.LAYER_DEN_BITS`` and are reduced.
+
+**Documents.** First ``as_prob`` runs on a literal corpus: edge cases (a
+zero denominator, a sign, a point, an underscore, padding, non-ASCII
+digits, a numerator past the int/str digit limit, a literal one character
+past ``core.MAX_LITERAL_LEN``) and random literals, compared by value and
+exact type or by exception. Then each random document (``--documents`` of
+them) is generated once and read by both sides, which are compared on:
 
 - ``parse_pa(text)``: the ``serialize_pa`` text of the result, or the
   exception's class name and exact text;
@@ -25,9 +54,10 @@ is generated once and read by both sides, which are compared on:
   states, ``step`` on each letter and ``Kernel.walk`` on the word also
   start from an over-full distribution over those denominators, each
   mass at most 1 and the total past 1, so a mass past 1 raises on valid
-  automata too. Words this long take the change's
-  ``Kernel.walk`` past its first reduction round; the count of walk
-  steps that needed more rounds is printed;
+  automata too. Words this long take the change's ``Kernel.walk`` past
+  its first reduction round: the steps of the change's walk of this word
+  that needed more rounds are counted by replaying each step's first
+  round from the kernel's compiled letters (``extra_rounds``);
 - ``Pa.check_word`` on that automaton, on random words that mix its
   letters with foreign tokens (other names, the empty string, an int,
   ``None``, a tuple, a list and a set) at random positions, each with no
@@ -41,12 +71,7 @@ is generated once and read by both sides, which are compared on:
   and of each construction, and ``pasynch trace --csv`` of a random word
   on the document, each over no file, then over an empty file and files
   shorter than, as long as and longer than the first output, in a
-  temporary directory per side;
-- before the documents, ``as_prob`` on a literal corpus: edge cases (a
-  zero denominator, a sign, a point, an underscore, padding, non-ASCII
-  digits, a numerator past the int/str digit limit, a literal one
-  character past ``core.MAX_LITERAL_LEN``) and random literals, by value
-  and exact type or by exception.
+  temporary directory per side.
 
 A document is a random automaton of 1-5 states and 1-3 letters whose rows
 come from a pool of three, written as plain text or, through the parent's
@@ -55,34 +80,41 @@ then corrupted by one to three edits: tokens re-spaced with runs of spaces
 and tabs (so equal bodies differ in text), comments and blank lines, a row
 repeated or dropped, a literal replaced by an edge case, an unknown name,
 a short, odd or self-repeating row, a metadata line dropped or repeated, a
-key misspelt or its colon dropped. The exit status is 1 on any mismatch,
-printing the first few, else 0. Only the standard library is used.
+key misspelt or its colon dropped.
+
+Each family prints a summary line; then the tool prints the number of
+mismatches and the first few. The exit status is 1 on any mismatch, else
+0. Only the standard library is used.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
+import importlib.util
 import io
 import random
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from scan_differential import load_parent
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-import pasynch  # the working tree's: importing scan_differential put src/ on the path
-from pasynch.core import MAX_LITERAL_LEN
+import pasynch  # noqa: E402  (the working tree's)
 
 # literals without whitespace, so each can stand as one `.pa` token
 TOKEN_LITERALS = (
     "0", "1", "00", "01", "007/8", "1/1", "2/4", "0/5", "3/8", "8/8", "9/8", "2", "1/0",
     "0/0", "00/00", "1.5", "0.5", ".5", "5e-1", "+1", "-0", "1_0", "1/2/3", "/2", "2/", "x",
     "٣/٤", "１/２", "1" + "0" * 4300, "0/" + "1" * 4301,
-    "1/" + "7" * 40, "9" * 30 + "/" + "9" * 31, "1" * (MAX_LITERAL_LEN + 1),
+    "1/" + "7" * 40, "9" * 30 + "/" + "9" * 31, "1" * (pasynch.core.MAX_LITERAL_LEN + 1),
 )
 CORPUS = TOKEN_LITERALS + ("", " 1/2", "1/2 ", "1 /2", "\t0")
 TRACE_LETTERS = 60
@@ -95,6 +127,31 @@ EDITS = ("space", "comment", "repeat row", "drop row", "literal", "unknown name"
          "short row", "odd row", "twice", "metadata", "key", "colon")
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True,
+                          timeout=120).stdout
+
+
+def extract(rev: str, dest: Path, *paths: str) -> None:
+    """`paths` of commit `rev` into `dest`, through `git archive`."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", rev, *paths))) as tar:
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def load_parent(rev: str) -> object:
+    """The `src/pasynch` package of commit `rev`, as `parent_pasynch`."""
+    dest = ROOT / ".bench_build" / "differential"
+    shutil.rmtree(dest, ignore_errors=True)
+    extract(rev, dest, "src/pasynch")
+    package = dest / "src" / "pasynch"
+    spec = importlib.util.spec_from_file_location(
+        "parent_pasynch", package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["parent_pasynch"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def outcome(fn, *args, **kw) -> tuple:
     """`("ok", value)` or `("error", class name, text)`."""
     try:
@@ -102,6 +159,78 @@ def outcome(fn, *args, **kw) -> tuple:
     except Exception as exc:  # compared by name and text across the two packages
         return "error", type(exc).__name__, str(exc)
 
+
+def random_dist(rng: random.Random, states: list[str]) -> dict[str, Fraction]:
+    den = rng.randint(1, 8)
+    cuts = sorted(rng.randint(0, den) for _ in range(len(states) - 1))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    return {q: Fraction(p, den) for q, p in zip(states, parts) if p}
+
+
+# -- searches ---------------------------------------------------------------
+
+def random_spec(rng: random.Random, min_states: int, max_states: int, dirac: bool,
+                max_letters: int = 3) -> tuple:
+    """(states, letters, initial, delta, accepting) of a random automaton."""
+    states = [f"q{i}" for i in range(rng.randint(min_states, max_states))]
+    letters = "abc"[:rng.randint(1, max_letters)]
+    kind = rng.choice(("plain", "pool", "sinks"))
+    pool = [random_dist(rng, states) for _ in range(2)]
+    sinks = set(rng.sample(states, rng.randint(0, len(states) - 1))) if kind == "sinks" else ()
+    delta = {(q, a): {q: 1} if q in sinks else rng.choice(pool) if kind == "pool"
+             else random_dist(rng, states) for q in states for a in letters}
+    initial = {"q0": 1} if dirac or rng.random() < 0.5 else random_dist(rng, states)
+    accepting = rng.sample(states, rng.randint(1, len(states)))
+    return states, tuple(letters), initial, delta, accepting
+
+
+def random_case(rng: random.Random) -> tuple:
+    """(kind, spec, max_len) of one random case; see the module docstring."""
+    r = rng.random()
+    if r < 0.02:
+        return "chain", random_spec(rng, 1, 6, False, max_letters=1), rng.randint(1000, 3000)
+    if r < 0.06:
+        return "large twin", random_spec(rng, 6, 7, True), rng.randint(0, 3)
+    if r < 0.28:
+        return "twin", random_spec(rng, 1, 3, True), rng.randint(0, 5)
+    return "plain", random_spec(rng, 1, 6, False), rng.randint(0, 7)
+
+
+def searched(package, spec: tuple, twinned: bool, max_len: int, ks: list, bar: Fraction) -> tuple:
+    """Both searches and the bar scan of one case on one side."""
+    states, letters, initial, delta, accepting = spec
+    pa = package.Pa(tuple(states), letters, initial, delta, accepting=tuple(accepting))
+    b = package.Value1Instance(pa, require_dirac=False)
+    if twinned:
+        b = package.Value1Instance(package.twin(package.lift(b)).pa, require_dirac=False)
+    scan = package.analysis._shortlex_scan(b.pa, max_len, (bar.numerator, bar.denominator))
+    return (tuple(package.bounded_value_search(b, max_len)),
+            *(tuple(package.witness_schedule_search(b, k, max_len)) for k in ks),
+            [(rank, Fraction(num, den)) for rank, num, den in scan])
+
+
+def searches(sides: tuple, n: int, seed: int):
+    """Random cases until each side has run `n` searches, as (what, results
+    per side); the family's summary is printed last."""
+    rng = random.Random(seed)
+    start = time.perf_counter()
+    cases = done = scanned = 0
+    kinds = Counter()
+    while done < n:
+        kind, spec, max_len = random_case(rng)
+        ks = rng.sample(range(1, 7), 2)
+        bar = Fraction(rng.randint(0, 16), rng.randint(1, 16))
+        got = [searched(package, spec, kind.endswith("twin"), max_len, ks, bar)
+               for package in sides]
+        cases, done, scanned = cases + 1, done + 1 + len(ks), scanned + len(got[1][-1])
+        kinds[kind] += 1
+        yield f"kind={kind} max_len={max_len} k={ks} bar={bar} spec={spec}", got
+    counts = ", ".join(f"{kinds[kind]} {kind}s" for kind in ("twin", "large twin", "chain"))
+    print(f"{cases} cases ({counts}), {done} searches and {cases} bar scans per side, "
+          f"{scanned} scan yields; seed {seed}, {time.perf_counter() - start:.1f} s")
+
+
+# -- documents --------------------------------------------------------------
 
 def literal_value(package, text: str):
     p = package.as_prob(text)
@@ -114,13 +243,6 @@ def random_literal(rng: random.Random) -> str:
     g = rng.choice((1, 1, 2, 7))
     zeros = "0" * rng.choice((0, 0, 0, 1, 3))
     return zeros + str(num * g) + ("" if den == 1 and rng.random() < 0.5 else f"/{den * g}")
-
-
-def random_row(rng: random.Random, states: list[str]) -> dict[str, Fraction]:
-    den = rng.randint(1, 8)
-    cuts = sorted(rng.randint(0, den) for _ in range(len(states) - 1))
-    parts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
-    return {q: Fraction(p, den) for q, p in zip(states, parts) if p}
 
 
 def masses(row: dict[str, Fraction], rng: random.Random) -> str:
@@ -137,9 +259,9 @@ def random_document(rng: random.Random, parent) -> tuple[str, str]:
     """(kind, text) of one valid document."""
     states = [f"q{i}" for i in range(rng.randint(1, 5))]
     letters = list("abc"[:rng.randint(1, 3)])
-    pool = [random_row(rng, states) for _ in range(3)]
+    pool = [random_dist(rng, states) for _ in range(3)]
     delta = {(q, a): rng.choice(pool) for q in states for a in letters}
-    initial = {"q0": Fraction(1)} if rng.random() < 0.6 else random_row(rng, states)
+    initial = {"q0": Fraction(1)} if rng.random() < 0.6 else random_dist(rng, states)
     accepting = rng.sample(states, rng.randint(0, len(states)))
     kind = rng.choice(("plain", "plain", "lift", "twin"))
     if kind != "plain" and accepting:
@@ -215,6 +337,13 @@ def construct(package, obj) -> list:
     return [lifted] if lifted[0] != "ok" else [lifted, outcome(package.twin, lifted[1])]
 
 
+def rewrite(path: Path, data: bytes) -> None:
+    """`data` at `path` as a new file: on ext4, the close of a file that the
+    write truncated waits for its blocks to reach the disk."""
+    path.unlink(missing_ok=True)
+    path.write_bytes(data)
+
+
 def in_place(path: Path, write) -> tuple:
     """What `write()` returns or raises and the bytes it leaves at `path`: over
     no file, then over an empty file and files shorter than, as long as and
@@ -223,7 +352,7 @@ def in_place(path: Path, write) -> tuple:
     got = [(outcome(write), path.read_bytes() if path.exists() else None)]
     n = len(got[0][1] or b"")
     for old in (b"", b"#" * (n // 2), b"#" * n, b"#" * (2 * n + 1)):
-        path.write_bytes(old)
+        rewrite(path, old)
         got.append((outcome(write), path.read_bytes()))
     return tuple(got)
 
@@ -241,7 +370,7 @@ def trace_csv(package, text: str, word: str, directory: Path) -> tuple:
     """`pasynch trace --csv` of `word` on the document `text`, as `in_place`
     reports it, with what the command printed."""
     source, out = directory / "in.pa", directory / "trace.csv"
-    source.write_text(text, encoding="utf-8")
+    rewrite(source, text.encode())
     main = importlib.import_module(f"{package.__name__}.cli").main
 
     def run():
@@ -271,8 +400,20 @@ def trace_entries(trace) -> tuple:
     return tuple((e.step, e.letter, masses_of(e.dist), slots(e.norm)) for e in trace)
 
 
-def traces(package, pa, rng: random.Random) -> tuple:
-    """`norm_trace`, `lasso_trace` and `step` as `read` compares them."""
+def extra_rounds(kernel, word: tuple, pairs: tuple) -> int:
+    """The steps of `pairs`, `kernel.walk(word)`, that one reduction round
+    would have left out of lowest terms: each step's first round replayed
+    from the kernel's compiled letters, reading the kernel only."""
+    n = 0
+    for a, (v, den), (_, reduced) in zip(word, pairs, pairs[1:]):
+        den_a, forward = kernel._letters[a][:2]
+        n += reduced != den * den_a // gcd(kernel._big, den * den_a, *forward(v))
+    return n
+
+
+def traces(package, pa, rng: random.Random, rounds: dict | None) -> tuple:
+    """`norm_trace`, `lasso_trace` and `step` as `read` compares them; with
+    `rounds`, `extra_rounds` of the walk of the word is added to its count."""
     if not pa.alphabet:
         return ()
     word = []  # runs of one letter grow a denominator that another letter may then collapse
@@ -301,7 +442,10 @@ def traces(package, pa, rng: random.Random) -> tuple:
     def walked(start):
         k = package.semantics.Kernel(pa)
         return tuple(k.walk(word, k.ints(start)))
-    return (outcome(lambda: tuple(package.semantics.Kernel(pa).walk(word))),
+    walk = outcome(lambda: tuple(package.semantics.Kernel(pa).walk(word)))
+    if rounds is not None and walk[0] == "ok":
+        rounds["steps"] += extra_rounds(package.semantics.Kernel(pa), word, walk[1])
+    return (walk,
             outcome(lambda: trace_entries(package.norm_trace(pa, word))),
             outcome(lambda: trace_entries(package.lasso_trace(pa, stem, loop, reps))),
             *(outcome(stepped, start, a) for start in starts for a in pa.alphabet),
@@ -321,22 +465,7 @@ def checked_words(pa, rng: random.Random) -> tuple:
     return tuple(got)
 
 
-def count_rounds(semantics) -> dict:
-    """Count the steps of `semantics.Kernel.walk` that one reduction round
-    would have left out of lowest terms: of those it hands to `_lowest`,
-    which it does only when a prime's power may have been cut short."""
-    counts = {"steps": 0}
-    lowest = semantics._lowest
-
-    def counted(big, below, nums, den):
-        out = lowest(big, below, nums, den)
-        counts["steps"] += out[1] != den // gcd(big, den, *nums)
-        return out
-    semantics._lowest = counted
-    return counts
-
-
-def read(package, text: str, words, seed: float, directory: Path) -> tuple:
+def read(package, text: str, words, seed: float, directory: Path, rounds: dict | None) -> tuple:
     """Everything one side reports on `text`; files are written in `directory`."""
     strict = outcome(package.parse_pa, text)
     written = saved(package, strict, directory / "out.pa")
@@ -351,65 +480,65 @@ def read(package, text: str, words, seed: float, directory: Path) -> tuple:
         return written, built, loose
     pa = loose[1] if isinstance(loose[1], package.Pa) else loose[1].pa
     return (written, built, pa.validate().violations, walks(package, pa, words(pa)),
-            traces(package, pa, random.Random(seed)), checked_words(pa, random.Random(seed)))
+            traces(package, pa, random.Random(seed), rounds),
+            checked_words(pa, random.Random(seed)))
+
+
+def documents(sides: tuple, n: int, seed: int):
+    """The literal corpus, then `n` random documents, as (what, results per
+    side); the family's summary is printed last."""
+    rng = random.Random(seed)
+    start = time.perf_counter()
+    literals = list(CORPUS) + [random_literal(rng) for _ in range(2000)]
+    for text in literals:
+        yield f"literal {text[:60]!r}", [outcome(literal_value, p, text) for p in sides]
+    counts = dict.fromkeys(("plain", "lift", "twin", "corrupted", "parsed"), 0)
+    rounds = {"steps": 0}
+    with tempfile.TemporaryDirectory() as scratch:
+        directories = [Path(tempfile.mkdtemp(dir=scratch)) for _ in sides]
+        for _ in range(n):
+            kind, text = random_document(rng, sides[0])
+            counts[kind] += 1
+            edits: list[str] = []
+            if rng.random() < 0.5:
+                text, edits = corrupt(text, rng)
+                counts["corrupted"] += 1
+            case_seed = rng.random()
+
+            def words(pa, seed=case_seed):
+                pick = random.Random(seed)
+                return [tuple(pick.choices(pa.alphabet, k=pick.randint(0, 6))
+                              if pa.alphabet else ()) for _ in range(3)]
+            got = [read(package, text, words, case_seed, directory,
+                        rounds if package is sides[1] else None)
+                   for package, directory in zip(sides, directories)]
+            counts["parsed"] += got[1][0][0] == "ok"
+            yield f"kind={kind} edits={edits}\n{text}", got
+    print(f"{n} documents ({counts['plain']} plain, {counts['lift']} lift, "
+          f"{counts['twin']} twin; {counts['corrupted']} corrupted, {counts['parsed']} parsed "
+          f"valid) and {len(literals)} literals per side; seed {seed}, "
+          f"{time.perf_counter() - start:.1f} s; {rounds['steps']} steps of the change's "
+          "walks of the trace words took more than one reduction round")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    parser.add_argument("--searches", type=int, default=50_000,
+                        help="searches to run on each side, at least (0: none)")
     parser.add_argument("--documents", type=int, default=20_000,
-                        help="random documents to read on each side")
-    parser.add_argument("--seed", type=int, default=20)
+                        help="random documents to read on each side (0: none)")
+    parser.add_argument("--seed", type=int, default=17,
+                        help="seed of the searches; the documents take seed + 3")
     args = parser.parse_args(argv)
-    sides = {"parent": load_parent(args.parent), "change": pasynch}
-    rounds = count_rounds(pasynch.semantics)
-    rng = random.Random(args.seed)
-    scratch = tempfile.TemporaryDirectory()
-    directories = {side: Path(scratch.name, side) for side in sides}
-    for directory in directories.values():
-        directory.mkdir()
-    start = time.perf_counter()
-
-    literals = list(CORPUS) + [random_literal(rng) for _ in range(2000)]
-    literal_mismatches = []
-    for text in literals:
-        got = [outcome(literal_value, package, text) for package in sides.values()]
-        if got[0] != got[1]:
-            literal_mismatches.append((text, got))
-
-    counts = dict.fromkeys(("plain", "lift", "twin", "corrupted", "parsed"), 0)
-    mismatches = []
-    for _ in range(args.documents):
-        kind, text = random_document(rng, sides["parent"])
-        counts[kind] += 1
-        edits: list[str] = []
-        if rng.random() < 0.5:
-            text, edits = corrupt(text, rng)
-            counts["corrupted"] += 1
-        seed = rng.random()
-
-        def words(pa, seed=seed):
-            pick = random.Random(seed)
-            return [tuple(pick.choices(pa.alphabet, k=pick.randint(0, 6)) if pa.alphabet else ())
-                    for _ in range(3)]
-        got = [read(package, text, words, seed, directories[side])
-               for side, package in sides.items()]
-        counts["parsed"] += got[1][0][0] == "ok"
-        if got[0] != got[1]:
-            mismatches.append((kind, edits, text, got))
-
-    print(f"{args.documents} documents ({counts['plain']} plain, {counts['lift']} lift, "
-          f"{counts['twin']} twin; {counts['corrupted']} corrupted, {counts['parsed']} parsed "
-          f"valid) and {len(literals)} literals per side; seed {args.seed}, "
-          f"{time.perf_counter() - start:.1f} s; {rounds['steps']} walk steps of the change "
-          "took more than one reduction round")
-    scratch.cleanup()
-    print(f"mismatches: {len(mismatches) + len(literal_mismatches)}")
-    for text, got in literal_mismatches[:5]:
-        print(f"  literal {text[:60]!r}\n    parent: {got[0]}\n    change: {got[1]}")
-    for kind, edits, text, got in mismatches[:5]:
-        print(f"  kind={kind} edits={edits}\n{text}    parent: {got[0]}\n    change: {got[1]}")
-    return 1 if mismatches or literal_mismatches else 0
+    sides = (load_parent(args.parent), pasynch)
+    families = ((searches, args.searches, args.seed), (documents, args.documents, args.seed + 3))
+    mismatches = [(what, got) for family, n, seed in families if n > 0
+                  for what, got in family(sides, n, seed) if got[0] != got[1]]
+    print(f"mismatches: {len(mismatches)}")
+    for what, (parent, change) in mismatches[:5]:
+        print(f"  {what}\n    parent: {parent}\n    change: {change}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
