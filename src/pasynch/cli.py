@@ -182,10 +182,10 @@ def _cmd_halfbound(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: `parse_args` leaves it
-    unchanged, and help and errors go to `sys.stdout`/`sys.stderr` as they
-    are when printed."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommand parsers by name, built once
+    per process: parsing leaves them unchanged, and help and errors go to
+    `sys.stdout`/`sys.stderr` as they are when printed."""
     parser = argparse.ArgumentParser(
         prog="pasynch",
         description="Exact-rational probabilistic-automata toolkit.",
@@ -272,15 +272,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.set_defaults(func=_cmd_halfbound)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run the command `argv` names (`sys.argv[1:]` by default) and return
+    its exit code.
+
+    An argv that starts with a command name is parsed by that command's
+    parser alone, as the top-level parser would hand it on: its leftover
+    arguments are the top-level parser's "unrecognized arguments" error.
+    Any other argv (none, an option first, an unknown command) goes
+    through the top-level parser.
+    """
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command `args` and return its exit code."""
     # exact numbers are printed whole, past CPython's int/str digit limit
     # (3.10.7 and later; literals read stay bounded by core.MAX_LITERAL_LEN);
     # the caller's limit is restored on return

@@ -313,22 +313,32 @@ def check_p1(c: TwinPa, v1: Sequence[str], v2: Sequence[str]) -> CheckResult:
     """Reset replay: the run after `v1·reset` equals the run of `v2` from scratch.
 
     Compares every state's mass at every step 0..|v2|, exactly. Reports
-    the first violating (step, state) pair. Both runs are walked in full
-    on the automaton's kernel and compared as integer pairs, which come
-    from one kernel in lowest terms and so are equal exactly when the
-    masses are; `Dist`s are built only to word a failure.
+    the first violating (step, state) pair. The runs are walked on the
+    automaton's kernel and compared as integer pairs, which come from one
+    kernel in lowest terms and so are equal exactly when the masses are;
+    `Dist`s are built only to word a failure.
+
+    On a valid automaton only `v1·reset` is walked: a step is a function
+    of the pair alone, so two runs that meet stay equal at every later
+    step, and the check passes exactly when the pair after the reset is
+    the start pair. If it is not, step 0 holds the failure. An invalid
+    automaton's walk checks its rows and its pairs may differ off the
+    states, so both runs are walked in full there.
     """
     w1 = c.pa.check_word(v1)
     w2 = c.pa.check_word(v2)
     k = Kernel.of(c.pa)
-    full = list(k.walk(w1 + (c.hash,) + w2))
-    fresh_run = list(k.walk(w2))
-    offset = len(w1) + 1
-    for i, pair in enumerate(fresh_run):
-        if full[offset + i] == pair:
+    if k._valid:
+        *_, met = k.walk(w1 + (c.hash,))
+        runs = [(met, k.start)]
+    else:
+        full = list(k.walk(w1 + (c.hash,) + w2))
+        runs = zip(full[len(w1) + 1:], list(k.walk(w2)))
+    for i, (lhs, rhs) in enumerate(runs):
+        if lhs == rhs:
             continue
         # the pairs may differ only on names outside the states
-        lhs, rhs = k.dist(full[offset + i]), k.dist(pair)
+        lhs, rhs = k.dist(lhs), k.dist(rhs)
         for q in c.pa.states:
             if lhs.mass(q) != rhs.mass(q):
                 return CheckResult(False, f"step {i}, state {q}: {lhs.mass(q)} != {rhs.mass(q)}")

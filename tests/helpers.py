@@ -22,6 +22,7 @@ from pasynch import (
     matrix_oracle,
     outcome,
 )
+from pasynch import cli
 
 LETTER_POOL = ("a", "b", "c")
 
@@ -350,3 +351,13 @@ def reference_absorb(c: TwinPa, prefix, horizon: int) -> CheckResult:
                 return CheckResult(False, f"step {len(w) + n} via {x[-1]!r}: expected the "
                                           f"half/half failure pair, got {got}")
     return CheckResult(True)
+
+
+def reference_main(argv) -> int:
+    """`cli.main` with every argv parsed by the top-level parser, which
+    hands a command's arguments on to its subparser."""
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return cli._run(args)

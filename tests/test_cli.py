@@ -43,6 +43,7 @@ from helpers import (
     random_word,
     rebuilt,
     reference_absorb,
+    reference_main,
     reference_outcome,
 )
 
@@ -799,6 +800,15 @@ def test_halfbound_rejects_commit(files, capsys):
     assert main(["halfbound", files["b_one_twin"], "--word", "a.@sym:$"]) == 2
 
 
+def test_main_reads_sys_argv_by_default(files, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pasynch", "accept", files["b_half"], "--word", "a.a"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1/2\n"
+    monkeypatch.setattr(sys, "argv", ["pasynch", "--wat"])
+    assert main() == 2
+    assert "pasynch: error: " in capsys.readouterr().err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -959,9 +969,55 @@ FIXTURES = ("b_half", "b_half_lift", "b_half_twin", "b_one", "b_one_lift", "b_on
 OUTPUTS = ("out.pa", "out.csv", os.path.join("missing", "x.pa"))
 
 
+INSTANCES, LIFTS, TWINS = FIXTURES[::3], FIXTURES[1::3], FIXTURES[2::3]
+# the values of each kind a well-formed argv gives a flag
+VALUES = {"word": ("", "a", "a.a", "a.@sym:$", "@sym:#.a"),
+          "schedule": ("a", "a.a,a", "a.@sym:$,a"), "int": SMALL_INTS, "out": OUTPUTS}
+# subcommand -> (the fixtures each of its file arguments is drawn from, each
+# of its flags with the kind of value it takes); only OPTIONAL flags may be
+# left out of a well-formed argv. A twin's start is not a single state, so
+# only instances and lifts load for `search` and `schedule`.
+WELL_FORMED = {
+    "validate": ((FIXTURES,), {}),
+    "run": ((FIXTURES,), {"--word": "word"}),
+    "accept": ((FIXTURES,), {"--word": "word"}),
+    "trace": ((FIXTURES,), {"--word": "word", "--csv": "out"}),
+    "lasso": ((FIXTURES,), {"--stem": "word", "--loop": "word", "--reps": "int", "--csv": "out"}),
+    "lift": ((INSTANCES,), {"-o": "out"}),
+    "twin": ((LIFTS,), {"-o": "out"}),
+    "check-p1": ((TWINS,), {"--v1": "word", "--v2": "word"}),
+    "check-p2": ((LIFTS, TWINS), {"--word": "word"}),
+    "search": ((INSTANCES + LIFTS,), {"--max-len": "int", "--budget": "int"}),
+    "schedule": ((INSTANCES + LIFTS,), {"--k": "int", "--max-len": "int", "--budget": "int"}),
+    "certify": ((TWINS,), {"--schedule": "schedule"}),
+    "absorb": ((TWINS,), {"--prefix": "word", "--horizon": "int"}),
+    "halfbound": ((TWINS,), {"--word": "word"}),
+}
+OPTIONAL = ("--stem", "--csv")
+
+
 @st.composite
 def cli_argvs(draw):
-    """An argv for `main`, its files named as in `FIXTURES` and `OUTPUTS`."""
+    """An argv for `main`, its files named as in `FIXTURES` and `OUTPUTS`.
+
+    About half the examples run are well formed, as `WELL_FORMED` says,
+    so that they reach the checks a command makes on a loaded automaton.
+    A `random.Random` seeded with 16 drawn bytes makes their choices: it
+    spreads them evenly over commands and values, where Hypothesis's own
+    choices cluster and repeat. It picks the well-formed kind for three
+    draws in four, since Hypothesis runs more variations of the other
+    kind, whose choices are its own: with one in two, only a quarter of
+    the examples run were well formed. The other kind mixes files, flags
+    and values of every kind."""
+    rng = random.Random(draw(st.binary(min_size=16, max_size=16)))
+    if rng.random() < 0.75:
+        command = rng.choice(sorted(WELL_FORMED))
+        files, flags = WELL_FORMED[command]
+        argv = [command] + [rng.choice(names) for names in files]
+        for flag, kind in flags.items():
+            if flag not in OPTIONAL or rng.random() < 0.5:
+                argv += [flag, rng.choice(VALUES[kind])]
+        return argv
     command = draw(st.sampled_from(sorted(COMMANDS)))
     n_files, flags = COMMANDS[command]
     argv = [command] + [draw(st.sampled_from(FIXTURES + OUTPUTS)) for _ in range(n_files)]
@@ -978,19 +1034,48 @@ def cli_argvs(draw):
     return argv
 
 
+def _fuzz_paths(fuzz_files, argv):
+    """`argv` with each fixture and output name replaced by its path."""
+    paths = {name: fuzz_files[name] for name in FIXTURES}
+    paths |= {name: os.path.join(fuzz_files["dir"], name) for name in OUTPUTS}
+    return [paths.get(arg, arg) for arg in argv]
+
+
+def _outcome(main_function, argv, outputs):
+    """`(code, stdout, stderr, bytes of each of outputs)` of one call, None
+    for an output file that is not there after it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main_function(argv)
+    written = [path.read_bytes() if path.exists() else None for path in outputs]
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def _outcomes(argv, outputs):
+    """The `_outcome` of `reference_main` and then of `main` on `argv`, each
+    from the output files as they were; `main`'s files are left."""
+    before = [path.read_bytes() if path.exists() else None for path in outputs]
+    want = _outcome(reference_main, argv, outputs)
+    for path, old, new in zip(outputs, before, want[3]):
+        if new != old:  # put back what the reference run changed
+            if old is None:
+                path.unlink()
+            else:
+                path.write_bytes(old)
+    return want, _outcome(main, argv, outputs)
+
+
 @given(argv=cli_argvs())
 # a negative budget once exited 3, as if the sweep had overrun it
 @example(argv=["search", "b_one", "--max-len", "2", "--budget", "-1"])
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, argv):
-    paths = {name: fuzz_files[name] for name in FIXTURES}
-    paths |= {name: os.path.join(fuzz_files["dir"], name) for name in OUTPUTS}
-    argv = [paths.get(arg, arg) for arg in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    err = err.getvalue()
-    context = (argv, out.getvalue(), err)
+    argv = _fuzz_paths(fuzz_files, argv)
+    want, got = _outcomes(argv, [Path(fuzz_files["dir"], name) for name in OUTPUTS])
+    code, out, err, _ = got
+    context = (argv, out, err)
+    # a command's own parser does what the top-level parser does for it
+    assert got == want, context
     assert code in (0, 1, 2, 3), context
     event(f"exit {code}")
     # the code agrees with what the command said: 3 is an overrun of a
@@ -1005,3 +1090,22 @@ def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, argv):
         assert err == "", context
     for path, old in fuzz_bytes.items():
         assert path.read_bytes() == old, (path, context)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["frobnicate", "b_one"],
+    ["--wat", "validate", "b_one"], ["-h", "validate", "b_one"],  # an option before the command
+    ["validate", "-h"], ["check-p1", "--help"],
+    ["validate", "b_one", "b_half", "--wat"],  # extras after a valid command
+    ["accept", "--word", "a", "--", "b_one"], ["validate", "--", "b_one"],  # `--` before a file
+    ["accept", "b_one", "--word", "a", "--max-len", "2"],  # another command's flag
+    ["accept", "b_one", "--word", "a", "--wo", "a.a"],  # an abbreviated flag
+    ["lift", "b_one", "-o", "out.pa", "--", "b_half"],
+])
+def test_main_parses_as_the_top_level_parser_does(fuzz_files, fuzz_bytes, argv):
+    argv = _fuzz_paths(fuzz_files, argv)
+    want, got = _outcomes(argv, [Path(fuzz_files["dir"], name) for name in OUTPUTS])
+    assert got == want
+    assert got[0] in (0, 2)
+    for path, old in fuzz_bytes.items():
+        assert path.read_bytes() == old, path

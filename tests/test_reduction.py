@@ -25,6 +25,7 @@ from pasynch import (
     serialize_pa,
     twin,
 )
+from pasynch.semantics import Kernel
 from helpers import (
     corrupted,
     random_dist,
@@ -439,6 +440,72 @@ def test_checkers_match_the_outcome_references():
             v1, v2 = random_word(rng, c.pa.alphabet, 5), random_word(rng, c.pa.alphabet, 5)
             verdicts["p1"].add(_same_result(check_p1, reference_check_p1, c, v1, v2))
     assert verdicts["p1"] >= {True, False} and verdicts["p2"] >= {True, False}
+
+
+def _p1_twin(rng, kind):
+    """A random twin: as built ("twin"), with rows replaced by other
+    distributions on its states ("valid"), or with one row that sums
+    below or above 1, reaches a name outside the states or is missing
+    ("invalid")."""
+    c = twin(lift(random_value1_instance(rng, max_states=4, max_letters=2)))
+    keys = sorted(c.pa.delta)
+    if kind != "twin":
+        for key in rng.sample(keys, rng.randint(1, 3)):
+            c = corrupted(c, *key, random_dist(rng, c.pa.states))
+    if kind == "invalid":
+        key = rng.choice(keys)
+        q, r = rng.sample(c.pa.states, 2)
+        delta = dict(c.pa.delta)
+        delta[key] = rng.choice((Dist({q: "1/2"}), Dist({q: "2/3", r: "2/3"}),
+                                 Dist({q: "1/2", "z": "1/2"}), None))
+        if delta[key] is None:
+            del delta[key]
+        c = rebuilt(c, pa=Pa(c.pa.states, c.pa.alphabet, c.pa.initial, delta, c.pa.accepting))
+    assert c.pa.validate().ok == (kind != "invalid")
+    return c
+
+
+def test_check_p1_matches_the_reference_on_every_kind_of_twin():
+    rng = random.Random(72)
+    verdicts = {kind: set() for kind in ("twin", "valid", "invalid")}
+    for i in range(180):
+        kind = ("twin", "valid", "invalid")[i % 3]
+        c = _p1_twin(rng, kind)
+        for _ in range(4):
+            v1, v2 = random_word(rng, c.pa.alphabet, 6), random_word(rng, c.pa.alphabet, 6)
+            verdicts[kind].add(_same_result(check_p1, reference_check_p1, c, v1, v2))
+    assert verdicts == {"twin": {True}, "valid": {True, False}, "invalid": {True, False, None}}
+
+
+def test_a_valid_twin_is_walked_only_to_the_reset(monkeypatch):
+    # the run after the reset meets the fresh run at step 0, so nothing
+    # past the reset is walked, however long v2 is; an invalid twin
+    # (here one row sums below 1) walks v2 in both runs
+    stepped = [0]
+    walk = Kernel.walk
+
+    def counted(self, word, pair=None):
+        steps = walk(self, word, pair)
+        yield next(steps)
+        for step in steps:
+            stepped[0] += 1
+            yield step
+
+    monkeypatch.setattr(Kernel, "walk", counted)
+    rng = random.Random(73)
+    for kind in ("twin", "valid", "invalid"):
+        for _ in range(10):
+            c = _p1_twin(rng, "twin" if kind == "invalid" else kind)
+            if kind == "invalid":
+                c = corrupted(c, c.q_n, "a", {c.q_n: "1/2"})
+            v1 = random_word(rng, c.pa.alphabet, 6)
+            for n in (0, 1, 7, 40):
+                v2 = random_word(rng, c.pa.alphabet, n, n)
+                want = reference_check_p1(c, v1, v2)  # walks too, uncounted
+                stepped[0] = 0
+                assert check_p1(c, v1, v2) == want
+                letters = len(v1) + 1 if kind != "invalid" else len(v1) + 1 + 2 * n
+                assert stepped[0] == letters, (kind, v1, v2)
 
 
 class TestWitnessPrefix:
