@@ -28,6 +28,11 @@ from .semantics import Ints, Kernel
 
 DEFAULT_BUDGET = 1 << 20
 
+# The most rungs a schedule search fills, whatever its budget: its answer
+# holds one word per rung, and a word of probability 1 fills every rung
+# left, so a budget of 10^12 would otherwise let `k` ask for 8 TB of list.
+MAX_RUNGS = 1 << 20
+
 # A search layer's shared denominator is reduced only past this many bits:
 # over one denominator equal distributions already have equal numerators,
 # and products of numbers this small cost about what reduced ones would.
@@ -330,10 +335,13 @@ def witness_schedule_search(
     previous rung's, so the resumed scan returns exactly the word a fresh
     scan would. A word of probability 1 beats every rung, so it fills
     all the rungs left at once. `k` above `budget` is refused, like a
-    sweep of more words than the budget.
+    sweep of more words than the budget, and `k` above `MAX_RUNGS` is an
+    input error whatever the budget.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
+    if k > MAX_RUNGS:
+        raise InputError(f"k must be <= {MAX_RUNGS}, got {k}")
     total = _check_space(b.pa, max_len, budget)
     if k > budget:
         raise BudgetExceededError(f"k of {k} exceeds the budget of {budget}")

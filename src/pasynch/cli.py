@@ -4,12 +4,13 @@ Words on the command line are letter tokens joined by ".", so
 multi-character letters like "@sym:$" stay unambiguous; the empty string
 is the empty word. Schedules are ","-separated words.
 
-Exit codes: 0 success/pass, 1 check failed, 2 input error, 3 budget
-exceeded.
+Exit codes: 0 success/pass, 1 check failed, 2 input error (a stdout that
+cannot be written included), 3 budget exceeded.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from typing import Sequence
@@ -251,7 +252,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("schedule", help="find words beating the 1-2^-i ladder")
     p.add_argument("file")
     p.add_argument("--k", required=True, type=int,
-                   help="number of rungs, 1 to --budget (exit 3 above it)")
+                   help="number of rungs, 1 to 2^20 (exit 2 above it); "
+                        "above --budget exits 3")
     p.add_argument("--max-len", required=True, type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_schedule)
@@ -303,7 +305,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Run the parsed command `args` and return its exit code."""
+    """Run the parsed command `args` and return its exit code.
+
+    A write to stdout that fails (a closed pipe, a full device) is an
+    input error, reported on stderr. Every file is opened through
+    `load_pa` or `_output`, which report their own `OSError`, so any other
+    is stdout's. Stdout is flushed before the code is returned, so a
+    failure in its buffer shows here, and closed once it fails, so the
+    interpreter's flush at exit does not fail again on what it still holds.
+    """
     # exact numbers are printed whole, past CPython's int/str digit limit
     # (3.10.7 and later; literals read stay bounded by core.MAX_LITERAL_LEN);
     # the caller's limit is restored on return
@@ -311,12 +321,20 @@ def _run(args: argparse.Namespace) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
         return 2
     finally:
         if limit is not None:

@@ -30,7 +30,7 @@ from pasynch import (
     twin,
     witness_schedule_search,
 )
-from pasynch.analysis import _shortlex_scan, _suffix_depth, _word_at, _word_count
+from pasynch.analysis import MAX_RUNGS, _shortlex_scan, _suffix_depth, _word_at, _word_count
 from pasynch.semantics import Kernel
 from helpers import (
     corrupted,
@@ -195,6 +195,14 @@ class TestWitnessScheduleSearch:
         result = witness_schedule_search(b_one(), 40, 3)
         assert result == reference_schedule(b_one(), 40, 3)
         assert result.words == (("a",),) * 40 and result.explored == 2
+
+    def test_k_above_the_rung_bound_is_refused_whatever_the_budget(self):
+        assert MAX_RUNGS == DEFAULT_BUDGET
+        for k in (MAX_RUNGS + 1, 10**12):
+            with pytest.raises(InputError) as err:
+                witness_schedule_search(_accepting_loop(), k, 1, budget=10**12)
+            assert type(err.value) is InputError
+            assert str(err.value) == f"k must be <= {MAX_RUNGS}, got {k}"
 
     def test_k_above_the_budget_is_refused(self):
         assert witness_schedule_search(_accepting_loop(), 10, 1, budget=10).ok

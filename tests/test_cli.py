@@ -1,16 +1,21 @@
 """Command-line interface: output shapes and exit codes."""
 import contextlib
+import errno
 import io
 import os
 import random
+import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
+from itertools import chain
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pasynch import (
@@ -20,6 +25,7 @@ from pasynch import (
     Pa,
     TraceEntry,
     TwinPa,
+    Value1Instance,
     b_half,
     b_one,
     dollar_absorption_check,
@@ -48,9 +54,11 @@ from helpers import (
 )
 
 
-def _write_fixtures(tmp_path):
+def _write_fixtures(tmp_path, instances=None):
+    """Each of `instances` (by name; b_one and b_half by default) as
+    `<name>.pa`, with its lift and twin, and the directory as `dir`."""
     paths = {}
-    for name, instance in (("b_one", b_one()), ("b_half", b_half())):
+    for name, instance in (instances or {"b_one": b_one(), "b_half": b_half()}).items():
         a = lift(instance)
         c = twin(a)
         paths[name] = str(tmp_path / f"{name}.pa")
@@ -135,7 +143,7 @@ def test_lift_into_a_missing_directory(files, tmp_path, capsys):
     assert not os.path.exists(os.path.dirname(out))
 
 
-OUTPUTS = ("save_pa", "lift", "trace")
+WRITERS = ("save_pa", "lift", "trace")
 
 
 def _write(how, files, path, capsys):
@@ -154,7 +162,7 @@ def _write(how, files, path, capsys):
     return code, err
 
 
-@pytest.mark.parametrize("how", OUTPUTS)
+@pytest.mark.parametrize("how", WRITERS)
 def test_outputs_are_written_in_place(how, files, tmp_path, capsys):
     path = tmp_path / "out"
     assert _write(how, files, str(path), capsys) == (0, "")
@@ -177,7 +185,7 @@ def test_outputs_are_written_in_place(how, files, tmp_path, capsys):
     assert other.read_bytes() == fresh and os.path.samefile(other, tmp_path / "same")
 
 
-@pytest.mark.parametrize("how", OUTPUTS)
+@pytest.mark.parametrize("how", WRITERS)
 def test_output_modes_are_those_of_open(how, files, tmp_path, capsys):
     kept = tmp_path / "kept"
     kept.write_bytes(b"#" * 10_000)
@@ -193,12 +201,12 @@ def test_output_modes_are_those_of_open(how, files, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
-@pytest.mark.parametrize("how", OUTPUTS)
+@pytest.mark.parametrize("how", WRITERS)
 def test_outputs_to_dev_null(how, files, capsys):
     assert _write(how, files, "/dev/null", capsys) == (0, "")
 
 
-@pytest.mark.parametrize("how", OUTPUTS)
+@pytest.mark.parametrize("how", WRITERS)
 @pytest.mark.parametrize("kind", ("read-only file", "directory"))
 def test_unwritable_outputs_exit_2_with_the_text_of_open(how, kind, files, tmp_path, capsys):
     path = tmp_path / "out"
@@ -274,13 +282,57 @@ def test_lift_twin_pipeline(files, tmp_path, capsys):
     assert restored.pa == twin(lift(b_one())).pa
 
 
+def _child_env(**extra: str) -> dict[str, str]:
+    """The environment of a child `python -m pasynch`, with this package on
+    its path and `extra` set."""
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+            **extra}
+
+
 def _child_pasynch(*argv: str) -> subprocess.CompletedProcess:
     """`python -m pasynch ARGV` as a real process, with this package on its path."""
-    src = os.path.dirname(os.path.dirname(core.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "pasynch", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "pasynch", *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
+
+
+# a stdout that fails gives exit 2 and one line, whether the failure shows
+# on a write or only when `main` flushes stdout's buffer; nothing is printed
+# when the interpreter flushes it again at exit
+UNBUFFERED = pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+
+
+@UNBUFFERED
+def test_a_closed_stdout_pipe_exits_2_in_a_child_process(files, unbuffered):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pasynch", "lasso", files["b_half_twin"], "--loop", "a.@sym:#",
+         "--reps", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    head = child.stdout.read(20)
+    child.stdout.close()  # as `| head -c 20` does
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), head) == (2, b"step,letter,norm,s0,")
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@UNBUFFERED
+def test_a_full_stdout_exits_2_in_a_child_process(files, unbuffered):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "pasynch", "check-p1", files["b_half_twin"], "--v1", "a",
+             "--v2", "a"], stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=_child_env(PYTHONUNBUFFERED=unbuffered))
+    assert (done.returncode, done.stderr) == (
+        2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+
+def test_main_runs_without_a_stdout(files, monkeypatch):
+    # a process started with its stdout closed has `sys.stdout` None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["validate", files["b_one"]]) == 0
 
 
 def test_pipeline_in_separate_processes(tmp_path):
@@ -627,6 +679,10 @@ _TWIN = ["twin", "FILE", "-o", "OUT"]
     # load_pa
     ("b_one", [("format: pa/1\n", "format: pa/1\n#" + "x" * paformat.MAX_PA_CHARS + "\n")],
      ["validate", "FILE"], ".pa file longer than the limit of 10,000,000 characters"),
+    # witness_schedule_search: a word of probability 1 would fill every rung,
+    # so k is bounded whatever the budget
+    ("b_one", [], ["schedule", "FILE", "--k", str(10**12), "--max-len", "2",
+                   "--budget", str(10**12)], "k must be <= 1048576, got 1000000000000"),
 ))
 def test_input_errors_name_their_cause(files, tmp_path, capsys, name, edits, argv, message):
     # `name`'s document with each `old` text replaced by `new` is FILE
@@ -937,42 +993,79 @@ def test_lasso_and_trace_check_letters_before_opening_the_csv(files, tmp_path, c
     assert not out.exists()
 
 
+# The fuzz test's automata: b_one and b_half, one with no letters and one
+# with non-ASCII names, each written with its lift and twin (`FIXTURES`);
+# `bad_twin`, b_one's twin with four rows changed so that every twin check
+# fails on some words; and `short`, whose row sums to 1/2, so that only
+# `validate` reads it.
+FUZZ_INSTANCES = {
+    "b_one": b_one(), "b_half": b_half(),
+    "empty": Value1Instance(Pa(("q",), (), {"q": 1}, {}, ("q",))),
+    "umlaut": Value1Instance(Pa(("ö", "Ω"), ("a", "ä"), {"ö": 1}, {
+        ("ö", "a"): {"ö": Fraction(2, 3), "Ω": Fraction(1, 3)}, ("ö", "ä"): {"ö": 1},
+        ("Ω", "a"): {"Ω": 1}, ("Ω", "ä"): {"ö": 1}}, ("Ω",))),
+}
+SHORT = "format: pa/1\nstates: s0\nletters: a\ninitial: s0 1\naccepting:\nrow: s0 a s0 1/2\n"
+
+
+def _read_only_holds() -> bool:
+    """Whether this user is refused a write to a file of mode 0o444."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch, "ro")
+        path.touch(0o444)
+        return not os.access(path, os.W_OK)
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    return _write_fixtures(tmp_path_factory.mktemp("fuzz"))
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    paths = _write_fixtures(tmp_path, FUZZ_INSTANCES)
+    paths["bad_twin"] = str(tmp_path / "bad_twin.pa")
+    bad = twin(lift(b_one()))
+    for row in (("s0", "a", {"sA": 1}), ("@lift:qf", "a", {"@lift:qn": 1}),
+                ("@lift:qf", "@sym:#", {"@lift:qn": 1}), ("sA", "@sym:#", {"sA": 1})):
+        bad = corrupted(bad, *row)
+    save_pa(bad, paths["bad_twin"])
+    paths["short"] = str(tmp_path / "short.pa")
+    Path(paths["short"]).write_text(SHORT, encoding="utf-8")
+    if "ro.pa" in OUTPUTS:
+        ro = tmp_path / "ro.pa"
+        ro.write_bytes(Path(paths["b_half_lift"]).read_bytes())
+        ro.chmod(0o444)
+    return paths
 
 
 @pytest.fixture(scope="module")
 def fuzz_bytes(fuzz_files):
-    """The bytes of each fixture file, read before any command runs."""
-    return {Path(fuzz_files[name]): Path(fuzz_files[name]).read_bytes() for name in FIXTURES}
-
-
-# subcommand -> (number of file arguments, its value flags)
-COMMANDS = {
-    "validate": (1, ()), "run": (1, ("--word",)), "accept": (1, ("--word",)),
-    "trace": (1, ("--word", "--csv")), "lasso": (1, ("--stem", "--loop", "--reps", "--csv")),
-    "lift": (1, ("-o",)), "twin": (1, ("-o",)), "check-p1": (1, ("--v1", "--v2")),
-    "check-p2": (2, ("--word",)), "search": (1, ("--max-len", "--budget")),
-    "schedule": (1, ("--k", "--max-len", "--budget")), "certify": (1, ("--schedule",)),
-    "absorb": (1, ("--prefix", "--horizon")), "halfbound": (1, ("--word",)),
-    "frobnicate": (0, ()),
-}
-WORDS = ("", "a", "a.a", "z", "a..a", "@sym:$", "a.@sym:$", "@sym:#.a", "a.@sym:$,a")
-SMALL_INTS = tuple(str(n) for n in range(-2, 7))
-INT_FLAGS = ("--reps", "--max-len", "--budget", "--k", "--horizon")
+    """The bytes of each file no command may change, read before any runs."""
+    kept = [Path(fuzz_files[name]) for name in FIXTURES]
+    kept += [Path(fuzz_files["dir"], "ro.pa")] if "ro.pa" in OUTPUTS else []
+    return {path: path.read_bytes() for path in kept}
 
 
 # the files an argv names, resolved in the test: the fixtures, and outputs,
-# which never overwrite a fixture and whose leftovers can be read back
-FIXTURES = ("b_half", "b_half_lift", "b_half_twin", "b_one", "b_one_lift", "b_one_twin")
-OUTPUTS = ("out.pa", "out.csv", os.path.join("missing", "x.pa"))
-
-
-INSTANCES, LIFTS, TWINS = FIXTURES[::3], FIXTURES[1::3], FIXTURES[2::3]
-# the values of each kind a well-formed argv gives a flag
+# which never overwrite a fixture; of these, `WRITTEN` are read back
+INSTANCES = tuple(FUZZ_INSTANCES)
+LIFTS = tuple(f"{name}_lift" for name in INSTANCES)
+TWINS = tuple(f"{name}_twin" for name in INSTANCES) + ("bad_twin",)
+FIXTURES = INSTANCES + LIFTS + TWINS + ("short",)
+WRITTEN = ("out.pa", "out.csv", os.path.join("missing", "x.pa"), "out\udcff.pa")
+DEVICES = tuple(dev for dev in ("/dev/null", "/dev/full") if os.path.exists(dev))
+OUTPUTS = WRITTEN + ("dir",) + DEVICES + (("ro.pa",) if _read_only_holds() else ())
+# the values of each kind a well-formed argv gives a flag, and the odd ones
+# a fault gives it; a lone surrogate is how POSIX decodes a non-UTF-8 byte
 VALUES = {"word": ("", "a", "a.a", "a.@sym:$", "@sym:#.a"),
-          "schedule": ("a", "a.a,a", "a.@sym:$,a"), "int": SMALL_INTS, "out": OUTPUTS}
+          "schedule": ("a", "a.a,a", "a.@sym:$,a"),
+          "int": ("-1", "0", "1", "2", "3", "6", "100"),
+          "out": ("out.pa", "out.csv", "out\udcff.pa")}
+HUGE = (10**12, -10**12, -10**30, sys.maxsize, sys.maxsize + 1)
+ODD = {"word": ("z", "a..a", "@sym:$", "a.ä", "a.\udcff"),
+       "schedule": ("\udcff", "a,,a"),
+       "int": tuple(str(n) for n in HUGE),
+       "out": tuple(name for name in OUTPUTS if name not in VALUES["out"])}
+# stdout's room, as `_Stdout` takes it, when it is drawn to fail
+ROOMS = (0, 8, 64)
+
 # subcommand -> (the fixtures each of its file arguments is drawn from, each
 # of its flags with the kind of value it takes); only OPTIONAL flags may be
 # left out of a well-formed argv. A twin's start is not a single state, so
@@ -994,100 +1087,215 @@ WELL_FORMED = {
     "halfbound": ((TWINS,), {"--word": "word"}),
 }
 OPTIONAL = ("--stem", "--csv")
+KIND = {flag: kind for _, flags in WELL_FORMED.values() for flag, kind in flags.items()}
+
+
+def _unbounded(argv) -> bool:
+    """`argv` may legitimately ask for 10^12 steps: a lasso of that many
+    repetitions, or a search with `--max-len` and `--budget` both that large."""
+    value, big = dict(zip(argv, argv[1:])), {str(n) for n in HUGE if n > 0}
+    if argv[0] == "lasso":
+        return value.get("--reps") in big
+    return argv[0] in ("search", "schedule") and {value.get("--max-len"), value.get("--budget")} <= big
 
 
 @st.composite
 def cli_argvs(draw):
-    """An argv for `main`, its files named as in `FIXTURES` and `OUTPUTS`.
+    """`(argv, room)`: an argv for `main`, its files named as in `FIXTURES`
+    and `OUTPUTS`, and the room of its stdout (`_Stdout`), None in 7 of 8.
 
-    About half the examples run are well formed, as `WELL_FORMED` says,
-    so that they reach the checks a command makes on a loaded automaton.
-    A `random.Random` seeded with 16 drawn bytes makes their choices: it
-    spreads them evenly over commands and values, where Hypothesis's own
-    choices cluster and repeat. It picks the well-formed kind for three
-    draws in four, since Hypothesis runs more variations of the other
-    kind, whose choices are its own: with one in two, only a quarter of
-    the examples run were well formed. The other kind mixes files, flags
-    and values of every kind."""
+    One `random.Random`, seeded with 16 drawn bytes, makes every choice, as
+    Hypothesis's own choices cluster and repeat. It builds a well-formed
+    argv, and gives half of them one to three faults."""
     rng = random.Random(draw(st.binary(min_size=16, max_size=16)))
-    if rng.random() < 0.75:
-        command = rng.choice(sorted(WELL_FORMED))
-        files, flags = WELL_FORMED[command]
-        argv = [command] + [rng.choice(names) for names in files]
-        for flag, kind in flags.items():
-            if flag not in OPTIONAL or rng.random() < 0.5:
-                argv += [flag, rng.choice(VALUES[kind])]
-        return argv
-    command = draw(st.sampled_from(sorted(COMMANDS)))
-    n_files, flags = COMMANDS[command]
-    argv = [command] + [draw(st.sampled_from(FIXTURES + OUTPUTS)) for _ in range(n_files)]
-    extra = draw(st.lists(st.sampled_from(("--word", "--reps", "-o")), max_size=1))
-    for flag in (*flags, *extra):
-        if draw(st.integers(0, 9)) == 0:
-            continue  # leave the flag out
-        argv.append(flag)
-        if flag in ("-o", "--csv"):
-            argv.append(draw(st.sampled_from(OUTPUTS)))
-        else:  # mostly a value of the flag's kind, sometimes one of the other kind
-            ints = (flag in INT_FLAGS) != (draw(st.integers(0, 9)) == 0)
-            argv.append(draw(st.sampled_from(SMALL_INTS if ints else WORDS)))
-    return argv
+    command = rng.choice(sorted(WELL_FORMED))
+    file_kinds, kinds = WELL_FORMED[command]
+    files = [rng.choice(names) for names in file_kinds]
+    flags = [[flag, rng.choice(VALUES[kind])] for flag, kind in kinds.items()
+             if flag not in OPTIONAL or rng.random() < 0.5]
+    for _ in range(rng.randint(1, 3) if rng.random() < 0.5 else 0):
+        fault = rng.choices(range(5), (1, 4, 4, 4, 4))[0]  # 0 ends the parse at once
+        if fault == 0:  # an unknown command
+            command, files = "frobnicate", []
+        elif fault == 1 and files:  # a file swapped for any fixture or output
+            files[rng.randrange(len(files))] = rng.choice(FIXTURES + OUTPUTS)
+        elif fault == 2 and flags:  # a flag left out, required or not
+            del flags[rng.randrange(len(flags))]
+        elif fault == 3 and flags:  # a value of any kind, odd ones too; an output stays one
+            pair = rng.choice(flags)
+            kind = "out" if KIND[pair[0]] == "out" else rng.choice(("word", "schedule", "int"))
+            pair[1] = rng.choice(VALUES[kind] + ODD[kind])
+        elif fault == 4:  # another command's flag
+            flag = rng.choice([flag for flag in KIND if flag not in kinds])
+            flags.insert(rng.randint(0, len(flags)), [flag, rng.choice(VALUES[KIND[flag]])])
+    argv = [command, *files, *chain.from_iterable(flags)]
+    assume(not _unbounded(argv))
+    return argv, rng.choice(ROOMS) if rng.random() < 0.125 else None
+
+
+def test_the_fuzz_table_has_every_argument_of_each_command():
+    """Each subparser parses its `WELL_FORMED` argv, with or without the
+    OPTIONAL flags, into just those arguments, ints as `int`: a command or
+    flag the CLI gains fails here until the fuzz test draws it."""
+    _, commands = _build_parser()
+    assert sorted(commands) == sorted(WELL_FORMED)
+    for name, parser in commands.items():
+        file_kinds, kinds = WELL_FORMED[name]
+        files = [f"file{i}" for i in range(len(file_kinds))]
+        given = {flag: str(100 + i) for i, flag in enumerate(kinds)}
+        args = vars(parser.parse_args(files + list(chain.from_iterable(given.items()))))
+        del args["func"]
+        want = files + [int(v) if kinds[flag] == "int" else v for flag, v in given.items()]
+        assert sorted(map(repr, args.values())) == sorted(map(repr, want)), name
+        parser.parse_args(files + [token for flag, v in given.items()
+                                   if flag not in OPTIONAL for token in (flag, v)])
 
 
 def _fuzz_paths(fuzz_files, argv):
     """`argv` with each fixture and output name replaced by its path."""
     paths = {name: fuzz_files[name] for name in FIXTURES}
     paths |= {name: os.path.join(fuzz_files["dir"], name) for name in OUTPUTS}
+    paths["dir"] = fuzz_files["dir"]
     return [paths.get(arg, arg) for arg in argv]
 
 
-def _outcome(main_function, argv, outputs):
-    """`(code, stdout, stderr, bytes of each of outputs)` of one call, None
-    for an output file that is not there after it."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main_function(argv)
+class _Stdout(io.StringIO):
+    """Stdout as `main` gets it in the fuzz test. Like a process's stdout,
+    it takes only what encodes as strict UTF-8. With `room` set, a write
+    past `room` characters raises ENOSPC, as on a full device. `close`
+    only records that it was called, so the text stays readable."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room, self.failed, self.shut = room, False, False
+
+    def write(self, text):
+        text.encode("utf-8")
+        if self.room is not None:
+            if len(text) > self.room:
+                self.failed = True
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.room -= len(text)
+        return super().write(text)
+
+    def close(self):
+        self.shut = True
+
+
+class _Overtime(BaseException):
+    """Raised in a call that runs past `CALL_SECONDS`; no `except` in the
+    package catches it."""
+
+
+CALL_SECONDS = 2
+
+
+@contextlib.contextmanager
+def _time_bound():
+    """Raise `_Overtime` in the block once it runs `CALL_SECONDS`."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def overtime(signum, frame):
+        raise _Overtime
+
+    old = signal.signal(signal.SIGALRM, overtime)
+    signal.setitimer(signal.ITIMER_REAL, CALL_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _outcome(main_function, argv, room, outputs):
+    """`(code, stdout, stderr, bytes of each of outputs, stdout failed,
+    stdout closed)` of one call, None for an output file not there after
+    it; a call past `CALL_SECONDS` fails the test."""
+    out, err = _Stdout(room), io.StringIO()
+    try:
+        with _time_bound(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main_function(argv)
+    except _Overtime:
+        raise AssertionError(f"{argv!r} ran past {CALL_SECONDS} s") from None
     written = [path.read_bytes() if path.exists() else None for path in outputs]
-    return code, out.getvalue(), err.getvalue(), written
+    return code, out.getvalue(), err.getvalue(), written, out.failed, out.shut
 
 
-def _outcomes(argv, outputs):
+def _outcomes(argv, room, outputs):
     """The `_outcome` of `reference_main` and then of `main` on `argv`, each
     from the output files as they were; `main`'s files are left."""
     before = [path.read_bytes() if path.exists() else None for path in outputs]
-    want = _outcome(reference_main, argv, outputs)
+    want = _outcome(reference_main, argv, room, outputs)
     for path, old, new in zip(outputs, before, want[3]):
         if new != old:  # put back what the reference run changed
             if old is None:
                 path.unlink()
             else:
                 path.write_bytes(old)
-    return want, _outcome(main, argv, outputs)
+    return want, _outcome(main, argv, room, outputs)
 
 
-@given(argv=cli_argvs())
+PASS_OR_FAIL = ("check-p1", "check-p2", "absorb", "halfbound")
+NO_WORD = re.compile(r"no word of length <= \d+ exceeds threshold 1-2\^-\d+\n")
+
+
+def _verdict(command, out, err):
+    """The exit code that `command`'s output gives, None if it gives none:
+    1 only for `validate`'s violations, one `FAIL:` line, `certify`'s
+    `FAIL` or `schedule`'s missing word, 0 for any other quiet command."""
+    lines = out.splitlines()
+    if command == "schedule" and NO_WORD.fullmatch(err):
+        return 1
+    if err or command not in WELL_FORMED:
+        return None
+    if command == "validate":
+        return 0 if out == "ok\n" else 1 if all(
+            line.startswith("violation: ") for line in lines) and lines else None
+    if command in PASS_OR_FAIL:
+        return 0 if out == "PASS\n" else 1 if len(lines) == 1 and out.startswith("FAIL: ") else None
+    if command == "certify":
+        return {"PASS": 0, "FAIL": 1}.get(lines[-1] if lines else None)
+    return 0
+
+
+@given(call=cli_argvs())
 # a negative budget once exited 3, as if the sweep had overrun it
-@example(argv=["search", "b_one", "--max-len", "2", "--budget", "-1"])
+@example(call=(["search", "b_one", "--max-len", "2", "--budget", "-1"], None))
+# a sweep with no letters once grew its suffix depth one length at a time
+@example(call=(["search", "empty", "--max-len", str(10**12), "--budget", "6"], None))
+# a full device once raised out of `main`; stdout must not be blamed for it
+@example(call=(["trace", "b_one", "--word", "a", "--csv", "/dev/full"], None))
+# a stdout that fails once raised out of `main`
+@example(call=(["validate", "b_one"], 0))
+# a word of probability 1 once filled 10^12 rungs
+@example(call=(["schedule", "b_one", "--k", str(10**12), "--max-len", "2",
+                "--budget", str(10**12)], None))
 @settings(max_examples=500, deadline=None)
-def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, argv):
+def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, call):
+    argv, room = call
     argv = _fuzz_paths(fuzz_files, argv)
-    want, got = _outcomes(argv, [Path(fuzz_files["dir"], name) for name in OUTPUTS])
-    code, out, err, _ = got
-    context = (argv, out, err)
+    want, got = _outcomes(argv, room, [Path(fuzz_files["dir"], name) for name in WRITTEN])
+    code, out, err, _, failed, shut = got
+    context = (argv, room, out, err)
     # a command's own parser does what the top-level parser does for it
     assert got == want, context
     assert code in (0, 1, 2, 3), context
     event(f"exit {code}")
     # the code agrees with what the command said: 3 is an overrun of a
-    # budget of at least 0, 2 a reported input error, 0 a silent success
+    # budget of at least 0, 2 one reported error, with a failed stdout
+    # reported as such and closed, and 0 or 1 the command's verdict
     negative_budget = any(flag == "--budget" and value.startswith("-")
                           for flag, value in zip(argv, argv[1:]))
+    assert ("cannot write stdout" in err) == failed == shut, context
     if code == 3:
         assert "exceeds the budget" in err and not negative_budget, context
-    elif code == 2:
-        assert "error: " in err and "Traceback" not in err, context
-    elif code == 0:
-        assert err == "", context
+    if code in (2, 3):
+        assert err.count("error: ") == 1 and "error: " in err.splitlines()[-1], context
+        assert "Traceback" not in err, context
+    else:
+        assert _verdict(argv[0], out, err) == code, context
     for path, old in fuzz_bytes.items():
         assert path.read_bytes() == old, (path, context)
 
@@ -1104,7 +1312,7 @@ def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, argv):
 ])
 def test_main_parses_as_the_top_level_parser_does(fuzz_files, fuzz_bytes, argv):
     argv = _fuzz_paths(fuzz_files, argv)
-    want, got = _outcomes(argv, [Path(fuzz_files["dir"], name) for name in OUTPUTS])
+    want, got = _outcomes(argv, None, [Path(fuzz_files["dir"], name) for name in WRITTEN])
     assert got == want
     assert got[0] in (0, 2)
     for path, old in fuzz_bytes.items():
