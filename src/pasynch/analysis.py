@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from operator import mul
+from operator import le, mul
 from typing import Generator, NamedTuple, Sequence
 
 from .core import (
@@ -132,14 +132,23 @@ def _suffix_depth(n_letters: int, max_len: int) -> int:
 
 
 def _dominated(w: Ints, kept: list[Ints]) -> bool:
-    """`w` is componentwise at most some vector of `kept`, as fractions."""
+    """`w` is componentwise at most some vector of `kept`, as fractions.
+    Each kept denominator must divide `w`'s, as in the scan, where `w` is
+    over `Λ^m` and each kept vector over some `Λ^j`, `j <= m`: one over
+    `w`'s own denominator compares numerators alone, and any other
+    compares each of `w`'s with its own times `den_x // den`."""
     x, den_x = w
     for y, den in kept:
-        for a, b in zip(x, y):
-            if a * den > b * den_x:
-                break
+        if den == den_x:
+            if all(map(le, x, y)):
+                return True
         else:
-            return True
+            f = den_x // den
+            for a, b in zip(x, y):
+                if a > b * f:
+                    break
+            else:
+                return True
     return False
 
 
@@ -191,9 +200,10 @@ def _shortlex_scan(
     the bar times `D * Λ^m` skips its whole block of words with `S_m`:
     that bound is at least each of their probabilities, again because
     every vector is nonnegative. The block bound, the letter bound below
-    and each word compare a dot product times the bar's denominator with
-    one product, the bar's numerator times `D * Λ^m`, made once per
-    layer and length and again when the bar is raised.
+    and each word compare a dot product `x` with one integer, `cut = (the
+    bar's numerator times D * Λ^m) // its denominator`, made once per
+    layer and length and again when the bar is raised: for a denominator
+    `b > 0`, `x * b > L` exactly when `x > L // b`, as `x` is an integer.
 
     No set is built from the last one, `S_d` at `length == max_len`, so
     once the bar is at least 0 it is built only from the letters some
@@ -226,11 +236,14 @@ def _shortlex_scan(
         if length == 1 or length > h + 1:  # m = max(length - h, 1) went up by one
             suffixes, last = [], suffixes
             lam_m *= lam
-            limit = bar_num * den * lam_m
+            cut = bar_num * den * lam_m // bar_den
             for i, back in enumerate(backs):
                 if length == max_len and bar_num >= 0:  # no block beats M_a·u_{m-1}
                     c = back(top)
-                    if all(sum(map(mul, v, c)) * bar_den <= limit for v in layer):
+                    for v in layer:
+                        if sum(map(mul, v, c)) > cut:
+                            break
+                    else:
                         continue
                 for j, after in last:
                     w = back(after)
@@ -245,18 +258,18 @@ def _shortlex_scan(
             # free list of its final size (up to 2,000 a size): peak RSS creeps
             top = [max(col) for col in zip(*[w for _, w in suffixes])]
         scale = den * lam_m
-        limit = bar_num * scale
+        cut = bar_num * scale // bar_den
         for v, index in layer.items():
-            if sum(map(mul, v, top)) * bar_den <= limit:
+            if sum(map(mul, v, top)) <= cut:
                 continue
             rank = offset + index * stride
             for j, w in suffixes:
                 num = sum(map(mul, v, w))
-                if num * bar_den > limit:
+                if num > cut:
                     sent = yield rank + j, num, scale
                     if sent is not None:
                         bar_num, bar_den = sent
-                        limit = bar_num * scale
+                        cut = bar_num * scale // bar_den
         if 0 < length <= h:
             nxt = {}
             for v, index in layer.items():

@@ -59,12 +59,19 @@ def _load(path: str, kind: type = Pa, **kw):
     return obj
 
 
+class _Discard:
+    """A text sink that keeps nothing: stdout for a process started without one."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+
 def _emit_trace(pa: Pa, trace: TraceStream, csv_path: str | None) -> None:
     if csv_path:
         with _output(csv_path) as fh:
             write_trace_csv(pa.states, trace, fh)
-    else:
-        write_trace_csv(pa.states, trace, sys.stdout)
+    else:  # with no stdout the rows are made and dropped, as `print` drops its text
+        write_trace_csv(pa.states, trace, sys.stdout if sys.stdout is not None else _Discard())
 
 
 def _report(result) -> int:

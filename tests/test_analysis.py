@@ -1,6 +1,7 @@
 """Search, certificates, absorption/half-bound checks, matrix oracle."""
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from operator import le
 
@@ -588,6 +589,136 @@ class TestSuffixPruning:
         result = bounded_value_search(Value1Instance(pa), 6000)
         assert result.best_word == () and result.best_prob == 1 and result.explored == 6001
         assert len(calls) == _suffix_depth(1, 6000) == 108
+
+
+def _dominance_case(rng: random.Random) -> tuple:
+    """`(w, kept)` as the scan hands them to `_dominated`: `w` over `Λ^m`
+    and each kept vector over some `Λ^j`, `j <= m`. Most `w` sit next to a
+    kept vector, each component equal to it in value, one unit either side
+    of it, or 0."""
+    n, lam, m = rng.randint(1, 5), rng.choice((1, 2, 6, 840, 7 ** 30)), rng.randint(0, 3)
+    den_x = lam ** m
+    kept = []
+    for _ in range(rng.randint(0, 4)):
+        den = lam ** rng.randint(0, m)
+        kept.append((tuple(rng.choice((0, den, rng.randint(0, den))) for _ in range(n)), den))
+    if kept and rng.random() < 0.8:
+        y, den = rng.choice(kept)
+        f = den_x // den
+        x = tuple(0 if rng.random() < 0.1 else max(0, b * f + rng.choice((-1, 0, 0, 1)))
+                  for b in y)
+    else:
+        x = tuple(rng.randint(0, den_x) for _ in range(n))
+    return (x, den_x), kept
+
+
+class TestDominated:
+    """`_dominated` compares numerators, times `den_x // den` when the kept
+    denominator is a proper divisor of the candidate's."""
+
+    def test_matches_fractions(self):
+        rng = random.Random(59)
+        seen = Counter()
+        for _ in range(4000):
+            w, kept = _dominance_case(rng)
+            (x, den_x), gaps = w, []
+            for y, den in kept:
+                gaps.append([Fraction(a, den_x) - Fraction(b, den) for a, b in zip(x, y)])
+                below = all(g <= 0 for g in gaps[-1])
+                seen["same den" if den == den_x else "dividing den", below] += 1
+                seen["equal vectors"] += not any(gaps[-1])
+                seen["one equal component"] += gaps[-1].count(0) == 1
+            seen["zero entry"] += 0 in x
+            assert analysis._dominated(w, kept) == any(all(g <= 0 for g in v) for v in gaps)
+        assert min(seen.values()) >= 100 and len(seen) == 7, seen
+
+    def test_every_scan_call_has_dividing_denominators(self, monkeypatch):
+        # on the oracle corpus and the pruned instances, each kept
+        # denominator divides the candidate's in every call the scan makes,
+        # and both kinds of pair come up
+        dominated, pairs = analysis._dominated, Counter()
+
+        def checked(w, kept):
+            for _, den in kept:
+                assert w[1] % den == 0, (w, kept)
+                pairs[den == w[1]] += 1
+            return dominated(w, kept)
+        monkeypatch.setattr(analysis, "_dominated", checked)
+        rng = random.Random(67)
+        cases = [(b, max_len) for b, max_len, _ in _oracle_corpus()]
+        cases += [(_pruned_instance(rng, letters, kind), {1: 12, 2: 8, 3: 6}[len(letters)])
+                  for letters in ("a", "ab", "abc")
+                  for kind in ("sinks", "pool", "sinks+pool", "plain") for _ in range(3)]
+        for b, max_len in cases:
+            list(_shortlex_scan(b.pa, max_len))
+            bounded_value_search(b, max_len)
+            witness_schedule_search(b, 3, max_len)
+        assert pairs[True] > 100 and pairs[False] > 100, pairs
+
+
+def _odd_dist(rng: random.Random, states) -> dict[str, Fraction]:
+    """A random distribution over a denominator of 1, 3, 5, 9 or 15."""
+    den = rng.choice((1, 3, 5, 9, 15))
+    cuts = sorted(rng.randint(0, den) for _ in range(len(states) - 1))
+    return {q: Fraction(b - a, den) for q, a, b in zip(states, [0, *cuts], [*cuts, den]) if b > a}
+
+
+class TestForeignBars:
+    """Bars whose denominators hold a prime that no row has, so that the
+    scan's `cut` floors a quotient that is not an integer."""
+
+    @staticmethod
+    def _assert_scan(pa, max_len, scored, full, bar):
+        """The scan at `bar` yields the words of the full scan `full` above
+        it, each at its `scored` probability, and every word above the bar
+        has a yielded word at or before it of at least its probability."""
+        value = Fraction(*bar)
+        got = list(_shortlex_scan(pa, max_len, bar))
+        assert got == [y for y in full if Fraction(*y[1:]) > value], bar
+        assert all(Fraction(num, den) == scored[rank][1] for rank, num, den in got)
+        best = ZERO
+        for rank, (_, p) in enumerate(scored):
+            if any(r == rank for r, _, _ in got):
+                best = max(best, p)
+            assert p <= value or p <= best, (bar, rank)
+        return got
+
+    def test_at_and_one_unit_below_an_achieved_probability(self):
+        # an achieved probability as a yield's own (num, den) times 11 or
+        # 13: at it, `cut` is num and the word is not yielded; one unit
+        # below it, `cut` is num - 1 and it is
+        rng = random.Random(71)
+        for b, max_len, scored in _oracle_corpus():
+            full = list(_shortlex_scan(b.pa, max_len))
+            for y in rng.sample(full, min(3, len(full))):
+                _, num, den = y
+                for p in (11, 13):
+                    assert y not in self._assert_scan(b.pa, max_len, scored, full,
+                                                      (num * p, den * p))
+                    assert y in self._assert_scan(b.pa, max_len, scored, full,
+                                                  (num * p - 1, den * p))
+
+    def test_rungs_over_rows_without_the_prime_two(self):
+        # with every row over 1, 3, 5, 9 or 15, each rung's bar (2^i - 1,
+        # 2^i) holds a prime no row has: the raw scan at each rung and both
+        # searches match the references
+        rng = random.Random(73)
+        for letters in ("a", "ab", "abc"):
+            max_len = {1: 10, 2: 7, 3: 5}[len(letters)]
+            for _ in range(6):
+                states = tuple(f"q{i}" for i in range(rng.randint(2, 5)))
+                sink = states[-1]
+                delta = {(q, a): {sink: 1} if q == sink else _odd_dist(rng, states)
+                         for q in states for a in letters}
+                b = Value1Instance(Pa(states, tuple(letters), {"q0": 1}, delta, (sink,)))
+                scored = scored_shortlex(b.pa, max_len)
+                full = list(_shortlex_scan(b.pa, max_len))
+                for i in range(1, 7):
+                    self._assert_scan(b.pa, max_len, scored, full, ((1 << i) - 1, 1 << i))
+                assert bounded_value_search(b, max_len) == reference_search(b, max_len, scored)
+                for k in (1, 3, 6):
+                    assert (witness_schedule_search(b, k, max_len)
+                            == reference_schedule(b, k, max_len, scored))
 
 
 class TestSharedDenominator:

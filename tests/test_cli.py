@@ -329,10 +329,36 @@ def test_a_full_stdout_exits_2_in_a_child_process(files, unbuffered):
         2, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
-def test_main_runs_without_a_stdout(files, monkeypatch):
-    # a process started with its stdout closed has `sys.stdout` None
+def test_main_runs_without_a_stdout(files, tmp_path, monkeypatch, capsys):
+    # a process started with its stdout closed has `sys.stdout` None: the
+    # trace rows are made and dropped, and a word error still exits 2
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["validate", files["b_one"]]) == 0
+    out = tmp_path / "out.csv"
+    for extra in ([], ["--csv", str(out)]):
+        assert main(["trace", files["b_one"], "--word", "a", *extra]) == 0
+        assert main(["lasso", files["b_one_twin"], "--stem", "a.@sym:$",
+                     "--loop", "@sym:#.a.@sym:$", "--reps", "2", *extra]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["trace", files["b_one"], "--word", "a.@sym:$", *extra]) == 2
+        assert main(["lasso", files["b_one"], "--loop", "a", "--reps", "3", "--stem", "z",
+                     *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown letter '@sym:$' at position 1\n"
+            "error: unknown letter 'z' at position 0\n")
+    assert len(out.read_text().splitlines()) == 10  # the lasso's header and 9 steps
+
+
+def test_a_closed_stdout_in_a_child_process(files):
+    # as `python -m pasynch trace FILE --word a >&-` starts it
+    for argv in (["trace", files["b_one"], "--word", "a"],
+                 ["lasso", files["b_half_twin"], "--loop", "a.@sym:#", "--reps", "20000"],
+                 ["trace", files["b_one"], "--word", "z"]):
+        done = subprocess.run([sys.executable, "-m", "pasynch", *argv], env=_child_env(),
+                              preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (
+            (2, "error: unknown letter 'z' at position 0\n") if "z" in argv else (0, "")), argv
 
 
 def test_pipeline_in_separate_processes(tmp_path):
@@ -1063,8 +1089,11 @@ ODD = {"word": ("z", "a..a", "@sym:$", "a.ä", "a.\udcff"),
        "schedule": ("\udcff", "a,,a"),
        "int": tuple(str(n) for n in HUGE),
        "out": tuple(name for name in OUTPUTS if name not in VALUES["out"])}
-# stdout's room, as `_Stdout` takes it, when it is drawn to fail
+# stdout's room, as `_Stdout` takes it, when it is drawn to fail, and the
+# draw of no stdout at all (`sys.stdout` None, as in a process started with
+# its stdout closed)
 ROOMS = (0, 8, 64)
+NO_STDOUT = "no stdout"
 
 # subcommand -> (the fixtures each of its file arguments is drawn from, each
 # of its flags with the kind of value it takes); only OPTIONAL flags may be
@@ -1102,7 +1131,8 @@ def _unbounded(argv) -> bool:
 @st.composite
 def cli_argvs(draw):
     """`(argv, room)`: an argv for `main`, its files named as in `FIXTURES`
-    and `OUTPUTS`, and the room of its stdout (`_Stdout`), None in 7 of 8.
+    and `OUTPUTS`, and the room of its stdout (`_Stdout`): None in 3 of 4,
+    else one of `ROOMS` or `NO_STDOUT`, each as likely.
 
     One `random.Random`, seeded with 16 drawn bytes, makes every choice, as
     Hypothesis's own choices cluster and repeat. It builds a well-formed
@@ -1130,7 +1160,7 @@ def cli_argvs(draw):
             flags.insert(rng.randint(0, len(flags)), [flag, rng.choice(VALUES[KIND[flag]])])
     argv = [command, *files, *chain.from_iterable(flags)]
     assume(not _unbounded(argv))
-    return argv, rng.choice(ROOMS) if rng.random() < 0.125 else None
+    return argv, rng.choice(ROOMS + (NO_STDOUT,)) if rng.random() < 0.25 else None
 
 
 def test_the_fuzz_table_has_every_argument_of_each_command():
@@ -1212,14 +1242,17 @@ def _time_bound():
 def _outcome(main_function, argv, room, outputs):
     """`(code, stdout, stderr, bytes of each of outputs, stdout failed,
     stdout closed)` of one call, None for an output file not there after
-    it; a call past `CALL_SECONDS` fails the test."""
-    out, err = _Stdout(room), io.StringIO()
+    it; a call past `CALL_SECONDS` fails the test. With `room` NO_STDOUT,
+    `sys.stdout` is None in the call, and its stdout reads as empty."""
+    out, err = None if room is NO_STDOUT else _Stdout(room), io.StringIO()
     try:
         with _time_bound(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main_function(argv)
     except _Overtime:
         raise AssertionError(f"{argv!r} ran past {CALL_SECONDS} s") from None
     written = [path.read_bytes() if path.exists() else None for path in outputs]
+    if out is None:
+        return code, "", err.getvalue(), written, False, False
     return code, out.getvalue(), err.getvalue(), written, out.failed, out.shut
 
 
@@ -1269,6 +1302,8 @@ def _verdict(command, out, err):
 @example(call=(["trace", "b_one", "--word", "a", "--csv", "/dev/full"], None))
 # a stdout that fails once raised out of `main`
 @example(call=(["validate", "b_one"], 0))
+# with no stdout, `trace` once raised out of `main`
+@example(call=(["trace", "b_one", "--word", "a"], NO_STDOUT))
 # a word of probability 1 once filled 10^12 rungs
 @example(call=(["schedule", "b_one", "--k", str(10**12), "--max-len", "2",
                 "--budget", str(10**12)], None))
@@ -1285,7 +1320,8 @@ def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, call):
     event(f"exit {code}")
     # the code agrees with what the command said: 3 is an overrun of a
     # budget of at least 0, 2 one reported error, with a failed stdout
-    # reported as such and closed, and 0 or 1 the command's verdict
+    # reported as such and closed, and 0 or 1 the command's verdict, which
+    # with no stdout nothing shows; no code comes with a traceback
     negative_budget = any(flag == "--budget" and value.startswith("-")
                           for flag, value in zip(argv, argv[1:]))
     assert ("cannot write stdout" in err) == failed == shut, context
@@ -1293,9 +1329,9 @@ def test_main_keeps_the_exit_code_contract(fuzz_files, fuzz_bytes, call):
         assert "exceeds the budget" in err and not negative_budget, context
     if code in (2, 3):
         assert err.count("error: ") == 1 and "error: " in err.splitlines()[-1], context
-        assert "Traceback" not in err, context
-    else:
+    elif room is not NO_STDOUT:
         assert _verdict(argv[0], out, err) == code, context
+    assert "Traceback" not in err, context
     for path, old in fuzz_bytes.items():
         assert path.read_bytes() == old, (path, context)
 

@@ -17,9 +17,16 @@ compares:
 - ``bounded_value_search`` and ``witness_schedule_search`` (``k`` 1-6 at
   random), whole results, ``explored`` included: these are the searches
   counted by ``--searches``;
-- the words ``_shortlex_scan`` yields above a fixed random bar of at
-  least 0, as ``(rank, Fraction(num, den))``: a scan's yields are not in
-  lowest terms, so they are compared by value.
+- the words ``_shortlex_scan`` yields above a fixed bar, as ``(rank,
+  Fraction(num, den))``: a scan's yields are not in lowest terms, so they
+  are compared by value. Half of the bars are random, of at least 0. A
+  quarter are the parent's ``bounded_value_search`` best for the case,
+  which the scan must not yield, and a quarter are just below it with a
+  foreign prime, 11 or 13, in the denominator: the best less ``1 / (p *
+  B)``, where ``B``, the start's denominator times ``Λ^max_len`` (``Λ``
+  the lcm of every row's denominators), is at least each denominator the
+  scan scores over. The best word is then one unit above the floor of
+  the bar on its scale, so a bar comparison off by one shows.
 
 Cases are of four kinds. 72% are plain: 1-6 states, 1-3 letters,
 ``max_len`` 0-7, denominators up to 8, rows either drawn fresh, from a
@@ -101,7 +108,7 @@ import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,17 +203,44 @@ def random_case(rng: random.Random) -> tuple:
     return "plain", random_spec(rng, 1, 6, False), rng.randint(0, 7)
 
 
-def searched(package, spec: tuple, twinned: bool, max_len: int, ks: list, bar: Fraction) -> tuple:
-    """Both searches and the bar scan of one case on one side."""
+def instance(package, spec: tuple, twinned: bool):
+    """The `Value1Instance` of one case on one side."""
     states, letters, initial, delta, accepting = spec
     pa = package.Pa(tuple(states), letters, initial, delta, accepting=tuple(accepting))
     b = package.Value1Instance(pa, require_dirac=False)
     if twinned:
         b = package.Value1Instance(package.twin(package.lift(b)).pa, require_dirac=False)
-    scan = package.analysis._shortlex_scan(b.pa, max_len, (bar.numerator, bar.denominator))
+    return b
+
+
+def searched(package, b, max_len: int, ks: list) -> tuple:
+    """Both searches of one case on one side."""
     return (tuple(package.bounded_value_search(b, max_len)),
-            *(tuple(package.witness_schedule_search(b, k, max_len)) for k in ks),
-            [(rank, Fraction(num, den)) for rank, num, den in scan])
+            *(tuple(package.witness_schedule_search(b, k, max_len)) for k in ks))
+
+
+def scanned(package, b, max_len: int, bar: Fraction) -> list:
+    """The bar scan of one case on one side."""
+    scan = package.analysis._shortlex_scan(b.pa, max_len, (bar.numerator, bar.denominator))
+    return [(rank, Fraction(num, den)) for rank, num, den in scan]
+
+
+def scale_bound(pa, max_len: int) -> int:
+    """The start's denominator times `Λ^max_len`, `Λ` the lcm of every row's
+    denominators: at least each denominator a scan of `pa` scores over."""
+    lam = lcm(*(p.denominator for q in pa.states for a in pa.alphabet
+                for _, p in pa.row(q, a).items()))
+    return lcm(*(p.denominator for _, p in pa.initial.items())) * lam ** max_len
+
+
+def bar_of(rng: random.Random, kind: str, best: Fraction, pa, max_len: int) -> Fraction:
+    """A random bar, the parent's `best`, or `best` just below with a
+    foreign prime in the denominator (see the module docstring)."""
+    if kind == "random":
+        return Fraction(rng.randint(0, 16), rng.randint(1, 16))
+    if kind == "best":
+        return best
+    return best - Fraction(1, rng.choice((11, 13)) * scale_bound(pa, max_len))
 
 
 def searches(sides: tuple, n: int, seed: int):
@@ -214,20 +248,26 @@ def searches(sides: tuple, n: int, seed: int):
     per side); the family's summary is printed last."""
     rng = random.Random(seed)
     start = time.perf_counter()
-    cases = done = scanned = 0
-    kinds = Counter()
+    cases = done = yields = 0
+    kinds, bars = Counter(), Counter()
     while done < n:
         kind, spec, max_len = random_case(rng)
         ks = rng.sample(range(1, 7), 2)
-        bar = Fraction(rng.randint(0, 16), rng.randint(1, 16))
-        got = [searched(package, spec, kind.endswith("twin"), max_len, ks, bar)
-               for package in sides]
-        cases, done, scanned = cases + 1, done + 1 + len(ks), scanned + len(got[1][-1])
+        bar_kind = rng.choice(("random", "random", "best", "below"))
+        bs = [instance(package, spec, kind.endswith("twin")) for package in sides]
+        got = [searched(package, b, max_len, ks) for package, b in zip(sides, bs)]
+        bar = bar_of(rng, bar_kind, got[0][0][1], bs[0].pa, max_len)
+        got = [(*g, scanned(package, b, max_len, bar)) for package, b, g in zip(sides, bs, got)]
+        cases, done, yields = cases + 1, done + 1 + len(ks), yields + len(got[1][-1])
         kinds[kind] += 1
-        yield f"kind={kind} max_len={max_len} k={ks} bar={bar} spec={spec}", got
+        bars[bar_kind] += 1
+        shown = (bar if bar_kind == "random"
+                 else f"{bar_kind} ({bar.denominator.bit_length()}-bit den)")
+        yield f"kind={kind} max_len={max_len} k={ks} bar={shown} spec={spec}", got
     counts = ", ".join(f"{kinds[kind]} {kind}s" for kind in ("twin", "large twin", "chain"))
-    print(f"{cases} cases ({counts}), {done} searches and {cases} bar scans per side, "
-          f"{scanned} scan yields; seed {seed}, {time.perf_counter() - start:.1f} s")
+    print(f"{cases} cases ({counts}), {done} searches and {cases} bar scans per side "
+          f"({bars['best']} at the best, {bars['below']} just below it), {yields} scan "
+          f"yields; seed {seed}, {time.perf_counter() - start:.1f} s")
 
 
 # -- documents --------------------------------------------------------------
