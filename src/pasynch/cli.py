@@ -4,6 +4,11 @@ Words on the command line are letter tokens joined by ".", so
 multi-character letters like "@sym:$" stay unambiguous; the empty string
 is the empty word. Schedules are ","-separated words.
 
+One table, `COMMANDS`, declares each command once: its help, its handler
+and its arguments, each file with the kind it loads as. The parser is
+built from it, and `_call` loads a command's files, in declared order,
+before its handler runs.
+
 Exit codes: 0 success/pass, 1 check failed, 2 input error (a stdout that
 cannot be written included), 3 budget exceeded.
 """
@@ -13,7 +18,7 @@ import argparse
 import contextlib
 import functools
 import sys
-from typing import Sequence
+from typing import Callable
 
 from .analysis import (
     BudgetExceededError,
@@ -39,20 +44,20 @@ def _parse_word(text: str) -> Word:
     return tuple(parts)
 
 
-def _format_word(word: Sequence[str]) -> str:
-    return ".".join(word)
+# the kind a file argument of `validate` loads as: its `Pa`, not validated
+UNVALIDATED = "unvalidated Pa"
 
 
-def _parse_schedule(text: str) -> list[Word]:
-    return [_parse_word(part) for part in text.split(",")]
-
-
-def _load(path: str, kind: type = Pa, **kw):
-    """The automaton in `path` as `kind`: any file gives its `Pa`, and only a
+def _load(path: str, kind: object):
+    """The automaton in `path` as `kind`: any file gives its `Pa` (validated
+    unless `kind` is UNVALIDATED) and the `Value1Instance` of it, and only a
     file with that metadata block gives a `LiftedPa` or `TwinPa`."""
-    obj = load_pa(path, **kw)
-    if kind is Pa:
-        return obj if isinstance(obj, Pa) else obj.pa
+    obj = load_pa(path, require_valid=kind is not UNVALIDATED)
+    pa = obj if isinstance(obj, Pa) else obj.pa
+    if kind is Pa or kind is UNVALIDATED:
+        return pa
+    if kind is Value1Instance:
+        return Value1Instance(pa)
     if not isinstance(obj, kind):
         block = "twin" if kind is TwinPa else "lift"
         raise InputError(f"{path} carries no {block} metadata block")
@@ -67,7 +72,7 @@ class _Discard:
 
 
 def _emit_trace(pa: Pa, trace: TraceStream, csv_path: str | None) -> None:
-    if csv_path:
+    if csv_path is not None:  # "" too, which cannot be opened, as `-o ""` cannot
         with _output(csv_path) as fh:
             write_trace_csv(pa.states, trace, fh)
     else:  # with no stdout the rows are made and dropped, as `print` drops its text
@@ -75,15 +80,12 @@ def _emit_trace(pa: Pa, trace: TraceStream, csv_path: str | None) -> None:
 
 
 def _report(result) -> int:
-    if result.ok:
-        print("PASS")
-        return 0
-    print(f"FAIL: {result.reason}")
-    return 1
+    print("PASS" if result.ok else f"FAIL: {result.reason}")
+    return 0 if result.ok else 1
 
 
-def _cmd_validate(args) -> int:
-    report = _load(args.file, require_valid=False).validate()
+def _cmd_validate(args, pa: Pa) -> int:
+    report = pa.validate()
     if report.ok:
         print("ok")
         return 0
@@ -92,85 +94,64 @@ def _cmd_validate(args) -> int:
     return 1
 
 
-def _cmd_run(args) -> int:
-    pa = _load(args.file)
+def _cmd_run(args, pa: Pa) -> None:
     final = outcome(pa, _parse_word(args.word))[-1]
     for q in pa.states:
         p = final.mass(q)
         if p:
             print(f"{q} {p}")
-    return 0
 
 
-def _cmd_accept(args) -> int:
-    pa = _load(args.file)
+def _cmd_accept(args, pa: Pa) -> None:
     print(acceptance_probability(pa, _parse_word(args.word)))
-    return 0
 
 
-def _cmd_trace(args) -> int:
-    pa = _load(args.file)
+def _cmd_trace(args, pa: Pa) -> None:
     _emit_trace(pa, trace_stream(pa, _parse_word(args.word)), args.csv)
-    return 0
 
 
-def _cmd_lasso(args) -> int:
-    pa = _load(args.file)
+def _cmd_lasso(args, pa: Pa) -> None:
     trace = lasso_stream(pa, _parse_word(args.stem), _parse_word(args.loop), args.reps)
     _emit_trace(pa, trace, args.csv)
-    return 0
 
 
-def _cmd_lift(args) -> int:
-    instance = Value1Instance(_load(args.file))
+def _cmd_lift(args, instance: Value1Instance) -> None:
     save_pa(lift(instance), args.output)
-    return 0
 
 
-def _cmd_twin(args) -> int:
-    lifted = _load(args.file, LiftedPa)
+def _cmd_twin(args, lifted: LiftedPa) -> None:
     save_pa(twin(lifted), args.output)
-    return 0
 
 
-def _cmd_check_p1(args) -> int:
-    c = _load(args.file, TwinPa)
+def _cmd_check_p1(args, c: TwinPa) -> int:
     return _report(check_p1(c, _parse_word(args.v1), _parse_word(args.v2)))
 
 
-def _cmd_check_p2(args) -> int:
-    lifted = _load(args.lifted, LiftedPa)
-    c = _load(args.twin, TwinPa)
+def _cmd_check_p2(args, lifted: LiftedPa, c: TwinPa) -> int:
     return _report(check_p2(lifted, c, _parse_word(args.word)))
 
 
-def _cmd_search(args) -> int:
-    instance = Value1Instance(_load(args.file))
+def _cmd_search(args, instance: Value1Instance) -> None:
     result = bounded_value_search(instance, args.max_len, budget=args.budget)
-    print(f"word: {_format_word(result.best_word)}")
+    print(f"word: {'.'.join(result.best_word)}")
     print(f"prob: {result.best_prob}")
     print(f"explored: {result.explored}")
     print(f"exhausted: {'true' if result.exhausted else 'false'}")
-    return 0
 
 
-def _cmd_schedule(args) -> int:
-    instance = Value1Instance(_load(args.file))
+def _cmd_schedule(args, instance: Value1Instance) -> int:
     result = witness_schedule_search(instance, args.k, args.max_len, budget=args.budget)
     for i, word in enumerate(result.words, start=1):
-        print(f"u{i}: {_format_word(word)}")
+        print(f"u{i}: {'.'.join(word)}")
     if result.ok:
         return 0
-    print(
-        f"no word of length <= {args.max_len} exceeds threshold 1-2^-{result.failed_at}",
-        file=sys.stderr,
-    )
+    print(f"no word of length <= {args.max_len} exceeds threshold 1-2^-{result.failed_at}",
+          file=sys.stderr)
     return 1
 
 
-def _cmd_certify(args) -> int:
-    c = _load(args.file, TwinPa)
-    cert = certificate_check(c, _parse_schedule(args.schedule))
+def _cmd_certify(args, c: TwinPa) -> int:
+    cert = certificate_check(c, [_parse_word(part) for part in args.schedule.split(",")])
     for i, (pos, norm, threshold) in enumerate(
             zip(cert.checkpoints, cert.norms, cert.thresholds), start=1):
         verdict = "ok" if norm > threshold else "FAIL"
@@ -179,108 +160,87 @@ def _cmd_certify(args) -> int:
     return 0 if cert.ok else 1
 
 
-def _cmd_absorb(args) -> int:
-    c = _load(args.file, TwinPa)
+def _cmd_absorb(args, c: TwinPa) -> int:
     return _report(dollar_absorption_check(c, _parse_word(args.prefix), args.horizon))
 
 
-def _cmd_halfbound(args) -> int:
-    c = _load(args.file, TwinPa)
+def _cmd_halfbound(args, c: TwinPa) -> int:
     return _report(half_bound_check(c, _parse_word(args.word)))
+
+
+def _arg(*names: str, kind: object = None, **spec) -> tuple:
+    """One argument of a command: `add_argument`'s option strings and
+    keywords, and for a file the kind `_load` loads it as (None for a flag)."""
+    return names, spec, kind
+
+
+def _file(kind: object, **spec) -> tuple:
+    return _arg("file", kind=kind, **spec)
+
+
+# the flags that more than one command takes
+WORD = _arg("--word", required=True)
+CSV = _arg("--csv", help="write to this file instead of stdout")
+OUTPUT = _arg("-o", "--output", required=True)
+MAX_LEN = _arg("--max-len", required=True, type=int)
+BUDGET = _arg("--budget", type=int, default=DEFAULT_BUDGET)
+
+# Every command, in the order the top-level help lists them: its help, its
+# handler and its arguments (`_arg`), files first. A handler takes the parsed
+# arguments and then each file as `_load` loaded it; it only computes and
+# prints, and returns the exit code, None for 0.
+COMMANDS = {
+    "validate": ("check an automaton file against all invariants", _cmd_validate,
+                 _file(UNVALIDATED)),
+    "run": ("print the final distribution after a word", _cmd_run, _file(Pa), WORD),
+    "accept": ("print the acceptance probability of a word", _cmd_accept, _file(Pa), WORD),
+    "trace": ("emit the norm trace of a word as CSV", _cmd_trace, _file(Pa), WORD, CSV),
+    "lasso": ("norm trace of stem plus repeated loop", _cmd_lasso, _file(Pa),
+              _arg("--stem", default=""), _arg("--loop", required=True),
+              _arg("--reps", required=True, type=int), CSV),
+    "lift": ("adjoin sinks and the commit letter", _cmd_lift, _file(Value1Instance), OUTPUT),
+    "twin": ("duplicate states and add the reset letter", _cmd_twin,
+             _file(LiftedPa, help="a lift output (must carry the lift metadata block)"), OUTPUT),
+    "check-p1": ("reset-replay check on a twin automaton", _cmd_check_p1, _file(TwinPa),
+                 _arg("--v1", required=True), _arg("--v2", required=True)),
+    "check-p2": ("pair-halving check of a twin against its lift", _cmd_check_p2,
+                 _arg("lifted", kind=LiftedPa), _arg("twin", kind=TwinPa), WORD),
+    "search": ("exhaustive acceptance-probability sweep", _cmd_search,
+               _file(Value1Instance), MAX_LEN, BUDGET),
+    "schedule": ("find words beating the 1-2^-i ladder", _cmd_schedule, _file(Value1Instance),
+                 _arg("--k", required=True, type=int,
+                      help="number of rungs, 1 to 2^20 (exit 2 above it); above --budget exits 3"),
+                 MAX_LEN, BUDGET),
+    "certify": ("checkpoint-norm certificate for a schedule", _cmd_certify, _file(TwinPa),
+                _arg("--schedule", required=True, help="comma-separated words")),
+    "absorb": ("commit-letter absorption check", _cmd_absorb, _file(TwinPa),
+               _arg("--prefix", required=True), _arg("--horizon", required=True, type=int)),
+    "halfbound": ("norms stay <= 1/2 without the commit letter", _cmd_halfbound,
+                  _file(TwinPa), WORD),
+}
+
+
+def _call(handler: Callable[..., int | None], arguments: tuple[tuple, ...], args) -> int:
+    """The exit code of `handler` run on `args` and then on each file among
+    `arguments` (`_arg`), loaded from `args` in declared order: a file that
+    does not load stops the command before any word or schedule is parsed."""
+    return handler(args, *[_load(getattr(args, names[0]), kind)
+                           for names, _, kind in arguments if kind is not None]) or 0
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The argument parser and its subcommand parsers by name, built once
-    per process: parsing leaves them unchanged, and help and errors go to
-    `sys.stdout`/`sys.stderr` as they are when printed."""
+    per process from `COMMANDS`: parsing leaves them unchanged, and help and
+    errors go to `sys.stdout`/`sys.stderr` as they are when printed."""
     parser = argparse.ArgumentParser(
-        prog="pasynch",
-        description="Exact-rational probabilistic-automata toolkit.",
-    )
+        prog="pasynch", description="Exact-rational probabilistic-automata toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check an automaton file against all invariants")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("run", help="print the final distribution after a word")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("accept", help="print the acceptance probability of a word")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_accept)
-
-    p = sub.add_parser("trace", help="emit the norm trace of a word as CSV")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.add_argument("--csv", help="write to this file instead of stdout")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("lasso", help="norm trace of stem plus repeated loop")
-    p.add_argument("file")
-    p.add_argument("--stem", default="")
-    p.add_argument("--loop", required=True)
-    p.add_argument("--reps", required=True, type=int)
-    p.add_argument("--csv", help="write to this file instead of stdout")
-    p.set_defaults(func=_cmd_lasso)
-
-    p = sub.add_parser("lift", help="adjoin sinks and the commit letter")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_lift)
-
-    p = sub.add_parser("twin", help="duplicate states and add the reset letter")
-    p.add_argument("file", help="a lift output (must carry the lift metadata block)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_twin)
-
-    p = sub.add_parser("check-p1", help="reset-replay check on a twin automaton")
-    p.add_argument("file")
-    p.add_argument("--v1", required=True)
-    p.add_argument("--v2", required=True)
-    p.set_defaults(func=_cmd_check_p1)
-
-    p = sub.add_parser("check-p2", help="pair-halving check of a twin against its lift")
-    p.add_argument("lifted")
-    p.add_argument("twin")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_check_p2)
-
-    p = sub.add_parser("search", help="exhaustive acceptance-probability sweep")
-    p.add_argument("file")
-    p.add_argument("--max-len", required=True, type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("schedule", help="find words beating the 1-2^-i ladder")
-    p.add_argument("file")
-    p.add_argument("--k", required=True, type=int,
-                   help="number of rungs, 1 to 2^20 (exit 2 above it); "
-                        "above --budget exits 3")
-    p.add_argument("--max-len", required=True, type=int)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(func=_cmd_schedule)
-
-    p = sub.add_parser("certify", help="checkpoint-norm certificate for a schedule")
-    p.add_argument("file")
-    p.add_argument("--schedule", required=True, help="comma-separated words")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("absorb", help="commit-letter absorption check")
-    p.add_argument("file")
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--horizon", required=True, type=int)
-    p.set_defaults(func=_cmd_absorb)
-
-    p = sub.add_parser("halfbound", help="norms stay <= 1/2 without the commit letter")
-    p.add_argument("file")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_halfbound)
-
+    for name, (summary, handler, *arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for names, spec, _ in arguments:
+            command.add_argument(*names, **spec)
+        command.set_defaults(func=functools.partial(_call, handler, tuple(arguments)))
     return parser, sub.choices
 
 

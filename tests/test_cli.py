@@ -104,8 +104,13 @@ def test_validate_reports_violations(files, tmp_path, capsys):
         "format: pa/1\nstates: s0\nletters: a\ninitial: s0 1\n"
         "accepting:\nrow: s0 a s0 1/2\n")
     assert main(["validate", str(bad)]) == 1
-    out = capsys.readouterr().out
-    assert "violation: row (s0,a) sums to 1/2" in out
+    assert capsys.readouterr() == ("violation: row (s0,a) sums to 1/2\n", "")
+    # the file `validate` lists is one that every other command refuses
+    assert main(["run", str(bad), "--word", "a"]) == 2
+    assert capsys.readouterr() == ("", "error: invalid automaton: row (s0,a) sums to 1/2\n")
+    for name in ("b_one_lift", "b_one_twin"):  # any automaton loads for validate
+        assert main(["validate", files[name]]) == 0
+        assert capsys.readouterr() == ("ok\n", "")
 
 
 def test_trace_stdout(files, capsys):
@@ -141,6 +146,18 @@ def test_lift_into_a_missing_directory(files, tmp_path, capsys):
     assert main(["lift", files["b_one"], "-o", out]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {out}: {err.value}\n")
     assert not os.path.exists(os.path.dirname(out))
+
+
+@pytest.mark.parametrize("argv", (
+    ["lift", "b_half", "-o"],
+    ["trace", "b_half", "--word", "a", "--csv"],  # once wrote the CSV to stdout and exited 0
+    ["lasso", "b_half", "--loop", "a", "--reps", "2", "--csv"],  # so did this
+), ids=("lift", "trace", "lasso"))
+def test_an_empty_output_name_is_an_input_error(argv, files, capsys):
+    with pytest.raises(OSError) as err:
+        open("", "w", encoding="utf-8")
+    assert main([argv[0], files[argv[1]], *argv[2:], ""]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write : {err.value}\n")
 
 
 WRITERS = ("save_pa", "lift", "trace")
@@ -618,6 +635,47 @@ def test_missing_metadata_block_is_input_error(files, capsys, argv, bad, block):
     assert capsys.readouterr().err == f"error: {files[bad]} carries no {block} metadata block\n"
 
 
+_SHORT_ROW = "invalid automaton: row (s0,a) sums to 1/2"
+_NOT_DIRAC = ("initial distribution must be concentrated on a single state "
+              "(pass require_dirac=False to relax)")
+
+
+# Each command with a file of the wrong kind in each file slot: an invalid
+# automaton where any valid one loads, a twin, whose start is two states,
+# where an instance is expected, and a plain automaton or the other gadget
+# where a lift or twin is. Each word, schedule, `--k` or `--horizon` given
+# is one the command would refuse, and each output is never opened: the
+# file's error comes first.
+@pytest.mark.parametrize("argv, message", (
+    (["run", "SHORT", "--word", "a..a"], _SHORT_ROW),
+    (["accept", "SHORT", "--word", "a..a"], _SHORT_ROW),
+    (["trace", "SHORT", "--word", "a..a", "--csv", "OUT"], _SHORT_ROW),
+    (["lasso", "SHORT", "--loop", "a..a", "--reps", "1", "--csv", "OUT"], _SHORT_ROW),
+    (["lift", "b_one_twin", "-o", "OUT"], _NOT_DIRAC),
+    (["twin", "b_one", "-o", "OUT"], "{b_one} carries no lift metadata block"),
+    (["check-p1", "b_one", "--v1", "a..a", "--v2", "a..a"],
+     "{b_one} carries no twin metadata block"),
+    (["check-p2", "b_one", "b_one_twin", "--word", "a..a"],
+     "{b_one} carries no lift metadata block"),
+    (["check-p2", "b_one_lift", "b_one", "--word", "a..a"],
+     "{b_one} carries no twin metadata block"),
+    (["check-p2", "b_one_twin", "b_one_lift", "--word", "a..a"],  # both wrong: the first
+     "{b_one_twin} carries no lift metadata block"),
+    (["search", "b_one_twin", "--max-len", "2", "--budget", "-1"], _NOT_DIRAC),
+    (["schedule", "b_one_twin", "--k", "0", "--max-len", "2"], _NOT_DIRAC),
+    (["certify", "b_one", "--schedule", "a,,a"], "{b_one} carries no twin metadata block"),
+    (["absorb", "b_one_lift", "--prefix", "a..a", "--horizon", "-1"],
+     "{b_one_lift} carries no twin metadata block"),
+    (["halfbound", "b_one", "--word", "a..a"], "{b_one} carries no twin metadata block"),
+))
+def test_a_file_of_the_wrong_kind_is_reported_first(files, tmp_path, capsys, argv, message):
+    paths = {**files, "SHORT": str(tmp_path / "short.pa"), "OUT": str(tmp_path / "out")}
+    Path(paths["SHORT"]).write_text(SHORT, encoding="utf-8")
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert not os.path.exists(paths["OUT"])
+
+
 # a letter "b" in the lift of b_one, with a row for every state
 _ADD_LETTER_B = [("letters: a @sym:$", "letters: a @sym:$ b"),
                  ("lift.qf:", "row: s0 b s0 1\nrow: sA b sA 1\nrow: @lift:qf b @lift:qn 1\n"
@@ -1088,7 +1146,7 @@ HUGE = (10**12, -10**12, -10**30, sys.maxsize, sys.maxsize + 1)
 ODD = {"word": ("z", "a..a", "@sym:$", "a.ä", "a.\udcff"),
        "schedule": ("\udcff", "a,,a"),
        "int": tuple(str(n) for n in HUGE),
-       "out": tuple(name for name in OUTPUTS if name not in VALUES["out"])}
+       "out": ("", *(name for name in OUTPUTS if name not in VALUES["out"]))}
 # stdout's room, as `_Stdout` takes it, when it is drawn to fail, and the
 # draw of no stdout at all (`sys.stdout` None, as in a process started with
 # its stdout closed)

@@ -28,7 +28,10 @@ op runs (not while its result is checked), counts from one table:
   ``pasynch.core``.
 
 The hook replaces nothing in the package, so each op runs as it does in
-the harness, and a name that a side lacks counts 0.
+the harness, and a name that a side lacks counts 0. The JSON file is
+written in any case; then the exit status is 1, with one ``error:`` line
+naming each key, when a count key is on one side only or a count of the
+change is 0 (a step renamed out of the table's sight, say), else 0.
 
 Only the standard library is used; nothing under ``bench/`` is changed.
 """
@@ -166,6 +169,15 @@ def counters(side: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def count_faults(counts: dict[str, dict[str, int]]) -> list[str]:
+    """What the two sides' counts show wrong: a key that one side lacks,
+    and a change count of 0."""
+    parent, change = counts["parent"], counts["change"]
+    faults = [f"count {key!r} is on the {'parent' if key in parent else 'change'} side only"
+              for key in sorted(parent.keys() ^ change.keys())]
+    return faults + [f"count {key!r} of the change is 0" for key, n in change.items() if n == 0]
+
+
 def pair_counts(items: list[str], flag: str) -> dict[str, int]:
     counts = {}
     for item in items:
@@ -243,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    faults = count_faults(report["counts"])
+    for fault in faults:
+        print(f"error: {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
-"""Compare random searches and `.pa` documents with a parent commit's `src/`.
+"""Compare random searches, `.pa` documents and the CLI's parser with a parent commit's `src/`.
 
     python3 tools/differential.py --parent HEAD --searches 50000 --documents 20000
 
 The parent's ``src/`` is extracted from git with ``git archive`` into
 ``.bench_build/differential/`` and imported once as the package
 ``parent_pasynch``, next to the working tree's ``pasynch``, in this one
-process. Nothing in either package is replaced. Two families of cases
-run, each from its own random stream: the searches from ``--seed`` (17 by
-default), the documents from ``--seed`` + 3 (20). ``--searches 0`` or
-``--documents 0`` leaves a family out. Every case runs on both sides and
-its results are compared whole.
+process. Nothing in either package is replaced. Three families of cases
+run: the searches from the random stream ``--seed`` (17 by default), the
+documents from ``--seed`` + 3 (20), and once per run the parser cases,
+which draw nothing. ``--searches 0`` or ``--documents 0`` leaves a family
+out. Every case runs on both sides and its results are compared whole.
 
 **Searches.** Each case builds the same automaton on both sides and
 compares:
@@ -89,6 +89,17 @@ repeated or dropped, a literal replaced by an edge case, an unknown name,
 a short, odd or self-repeating row, a metadata line dropped or repeated, a
 key misspelt or its colon dropped.
 
+**Parser.** ``cli.main`` runs on ``--help``, on no arguments, on an
+unknown flag and on an unknown command, each given to the top-level
+parser and after each subcommand's name, in a temporary working
+directory: its exit code, stdout and stderr. So the help, usage and error
+text of every parser and the order of the subcommands are compared. As
+help text shows neither an argument's ``type`` nor its ``default``, each
+parser's arguments are also compared as the parser holds them: class,
+option strings, ``dest``, ``nargs``, ``required``, ``type``, ``default``,
+``help`` and ``metavar``, and the names it sets by ``set_defaults``. The
+subcommands are those of either side.
+
 Each family prints a summary line; then the tool prints the number of
 mismatches and the first few. The exit status is 1 on any mismatch, else
 0. Only the standard library is used.
@@ -99,6 +110,7 @@ import argparse
 import contextlib
 import importlib.util
 import io
+import os
 import random
 import shutil
 import subprocess
@@ -108,6 +120,7 @@ import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from pathlib import Path
 
@@ -157,6 +170,11 @@ def load_parent(rev: str) -> object:
     sys.modules["parent_pasynch"] = module
     spec.loader.exec_module(module)
     return module
+
+
+def cli_of(package):
+    """The `cli` module of one side's package."""
+    return importlib.import_module(f"{package.__name__}.cli")
 
 
 def outcome(fn, *args, **kw) -> tuple:
@@ -411,7 +429,7 @@ def trace_csv(package, text: str, word: str, directory: Path) -> tuple:
     reports it, with what the command printed."""
     source, out = directory / "in.pa", directory / "trace.csv"
     rewrite(source, text.encode())
-    main = importlib.import_module(f"{package.__name__}.cli").main
+    main = cli_of(package).main
 
     def run():
         printed = io.StringIO()
@@ -561,6 +579,57 @@ def documents(sides: tuple, n: int, seed: int):
           "walks of the trace words took more than one reduction round")
 
 
+# -- the command line's parser ----------------------------------------------
+
+PARSER_ARGVS = (["--help"], [], ["--wat"], ["frobnicate"])
+
+
+def arguments(package, name: str | None) -> tuple:
+    """The arguments of the top-level parser (`name` None) or of the
+    subcommand `name`, as the parser holds them, and its `set_defaults` names."""
+    top, commands = cli_of(package)._build_parser()
+    parser = top if name is None else commands.get(name)
+    if parser is None:
+        return ()
+    return (tuple((type(a).__name__, tuple(a.option_strings), a.dest, a.nargs, a.required,
+                   getattr(a.type, "__name__", a.type), a.default, a.help, a.metavar)
+                  for a in parser._actions), tuple(sorted(parser._defaults)))
+
+
+def cli_run(package, argv: list[str]) -> tuple:
+    """`(exit code, stdout, stderr)` of the package's `cli.main(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_of(package).main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parsers(sides: tuple):
+    """Each of `PARSER_ARGVS` for the top-level parser and after each
+    subcommand of either side, run in a temporary working directory, as
+    (what, results per side); the family's summary is printed last."""
+    start = time.perf_counter()
+    names = dict.fromkeys(name for package in sides for name in
+                          cli_of(package)._build_parser()[1])
+    cases = [[*command, *argv] for command in [[], *([name] for name in names)]
+             for argv in PARSER_ARGVS]
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for argv in cases:
+                yield f"cli.main({argv!r})", [cli_run(package, argv) for package in sides]
+        finally:
+            os.chdir(here)
+    for name in [None, *names]:
+        yield f"arguments of {name or 'the top-level parser'}", [arguments(package, name)
+                                                                 for package in sides]
+    print(f"{len(cases)} parser runs per side (the top-level parser and {len(names)} "
+          f"subcommands, each on --help, no arguments, an unknown flag and an unknown "
+          f"command: exit code, stdout and stderr) and {len(names) + 1} parsers' "
+          f"arguments; {time.perf_counter() - start:.1f} s")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="git revision of the parent side")
@@ -573,8 +642,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     sides = (load_parent(args.parent), pasynch)
     families = ((searches, args.searches, args.seed), (documents, args.documents, args.seed + 3))
-    mismatches = [(what, got) for family, n, seed in families if n > 0
-                  for what, got in family(sides, n, seed) if got[0] != got[1]]
+    cases = chain((case for family, n, seed in families if n > 0
+                   for case in family(sides, n, seed)), parsers(sides))
+    mismatches = [(what, got) for what, got in cases if got[0] != got[1]]
     print(f"mismatches: {len(mismatches)}")
     for what, (parent, change) in mismatches[:5]:
         print(f"  {what}\n    parent: {parent}\n    change: {change}")
